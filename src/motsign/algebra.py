@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .conventions import Convention, base_commutation, commutation_unit, convention
-from .cocycles import eval_cocycle
 from .errors import (
     InhomogeneousError,
     ModeMismatchError,
@@ -64,6 +63,8 @@ __all__ = [
     "AddExpr",
     "TransportReport",
     "MAX_REWRITE_PASSES",
+    "MAX_NESTING",
+    "MAX_EXPONENT",
     "parse_expression",
     "normalize",
     "multiply",
@@ -79,6 +80,8 @@ __all__ = [
 ]
 
 MAX_REWRITE_PASSES = 10_000
+MAX_NESTING = 100  # parentheses and unary minus, nested
+MAX_EXPONENT = 1000  # largest n in a postfix power g^n
 
 Monomial = tuple[int, ...]
 
@@ -107,12 +110,6 @@ class Element:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, monomial: Monomial) -> Coef:
-        for m, c in self.terms:
-            if m == monomial:
-                return c
-        return Coef()
 
     def render(self, pres: "Presentation") -> str:
         if not self.terms:
@@ -190,7 +187,7 @@ def _hnf_basis(vectors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int] | No
     return v1, v2
 
 
-def _lattice_reduce(c: Coef, basis: tuple[tuple[int, int] | None, tuple[int, int] | None]) -> Coef:
+def _reduce_mod_lattice(c: Coef, basis: tuple[tuple[int, int] | None, tuple[int, int] | None]) -> Coef:
     v1, v2 = basis
     a, b = c.a, c.b
     if v1 is not None:
@@ -281,19 +278,17 @@ class Presentation:
         self._ann_entries: list[tuple[Monomial, Coef]] = []
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
-        rel_elements = []
-        rel_strings = []
-        for rel in relations:
-            if isinstance(rel, str):
-                element = eval_expr(parse_expression(rel), _RAW_REFERENCE, self, _reduce=False)
-                rel_strings.append(rel)
-            else:
-                element = rel
-                rel_strings.append(element.render(self))
+        # relations are read as written, each on its own: no annihilator
+        # reduction (the commutation law alone would turn (1-eps)*eta*eta
+        # into zero) and no rewriting, since no rule exists until all are read
+        self._raw = True
+        relations = tuple(relations)
+        elements = [eval_expr(rel, _REFERENCE, self) if isinstance(rel, str) else rel for rel in relations]
+        self._raw = False
+        for element in elements:
             self._classify_relation(element)
-            rel_elements.append(element)
-        self.relations = tuple(rel_elements)
-        self.relation_strings = tuple(rel_strings)
+        self.relations = tuple(elements)
+        self.relation_strings = tuple(rel if isinstance(rel, str) else rel.render(self) for rel in relations)
 
     def _classify_relation(self, element: Element) -> None:
         if element.is_zero:
@@ -363,28 +358,25 @@ class Presentation:
         """Canonical representative of the coefficient modulo the
         monomial's annihilator ideal (and the mode's modulus)."""
         coef = specialize(coef, mode)
+        if self._raw:
+            return coef
         basis = self._annihilator_basis(monomial, mode.modulus)
         if basis == (None, None):
             return coef
-        return _lattice_reduce(coef, basis)
+        return _reduce_mod_lattice(coef, basis)
 
 
 # ---------- element assembly ----------
 
 
-def _assemble(
-    raw: dict[Monomial, Coef],
-    conv: Convention,
-    pres: Presentation,
-    _reduce: bool = True,
-) -> Element:
+def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -> Element:
     mode = conv.mode
     terms: dict[Monomial, Coef] = {}
     for monomial, coef in raw.items():
-        coef = pres.reduce_coef(monomial, coef, mode) if _reduce else specialize(coef, mode)
+        coef = pres.reduce_coef(monomial, coef, mode)
         if not coef.is_zero():
             terms[monomial] = coef
-    if _reduce and pres._rules:
+    if pres._rules:
         passes = 0
         while True:
             hit = _find_rewritable(terms, pres)
@@ -443,7 +435,7 @@ def _apply_rule(
     return out
 
 
-_RAW_REFERENCE = convention("reference")
+_REFERENCE = convention("reference")
 
 
 # ---------- the operations ----------
@@ -459,31 +451,28 @@ def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -
     """
     if not word:
         raise MotsignError("cannot normalize an empty word")
-    idxs = []
+    merged: Monomial = ()
+    unit = ONE
     for item in word:
         if isinstance(item, str):
-            idxs.append(pres.index(item))
+            idx = pres.index(item)
         else:
             idx = int(item)
             if not 0 <= idx < len(pres.generators):
                 raise MotsignError(f"generator index out of range: {idx}")
-            idxs.append(idx)
-    degrees = [pres._degrees[i] for i in idxs]
-    unit = ONE
-    for i in range(len(idxs)):
-        for j in range(i + 1, len(idxs)):
-            unit = unit * eval_cocycle(conv.twist, degrees[i], degrees[j])
-            if idxs[i] > idxs[j]:
-                unit = unit * base_commutation(degrees[i], degrees[j])
-    coef = unit.specialize(conv.mode).to_coef()
-    return _assemble({tuple(sorted(idxs)): coef}, conv, pres)
+        # the twist is bilinear, so one charge against the word built so
+        # far covers every earlier factor
+        twist = conv.twist(pres.monomial_degree(merged), pres._degrees[idx])
+        merged, pen = _merge_words(merged, (idx,), pres)
+        unit = unit * twist * pen
+    return _assemble({merged: unit.specialize(conv.mode).to_coef()}, conv, pres)
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
     """Product of homogeneous elements under the convention's twist."""
     if x.is_zero or y.is_zero:
         return ZERO
-    twist = eval_cocycle(conv.twist, x.degree, y.degree)
+    twist = conv.twist(x.degree, y.degree)
     raw: dict[Monomial, Coef] = {}
     for m1, c1 in x.terms:
         for m2, c2 in y.terms:
@@ -570,7 +559,7 @@ class AddExpr(Expr):
     right: Expr
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -593,10 +582,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_literal(digits: str, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", column=col) from None
+
+
 class _ExprParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -641,82 +638,70 @@ class _ExprParser:
                 return node
 
     def factor(self) -> Expr:
-        kind, value, col = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return NegExpr(self.factor())
-        if kind == "int":
-            self.advance()
-            return IntExpr(int(value))
-        if kind == "name":
-            self.advance()
-            return NameExpr(value)
-        if kind == "op" and value == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
+        kind, value, col = self.advance()
+        if kind == "op" and value in "-(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", column=col)
+            node = NegExpr(self.factor()) if value == "-" else self.expr()
+            if value == "(":
+                self.expect_op(")")
+            self.depth -= 1
             return node
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", column=col)
+        if kind == "int":
+            node = IntExpr(_int_literal(value, col))
+        elif kind == "name":
+            node = NameExpr(value)
+        else:
+            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", column=col)
+        if self.peek()[:2] != ("op", "^"):
+            return node
+        self.advance()
+        kind, value, col = self.advance()
+        n = _int_literal(value, col) if kind == "int" else 0
+        if not 1 <= n <= MAX_EXPONENT:
+            raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
+        power = node
+        for _ in range(n - 1):
+            power = MulExpr(power, node)
+        return power
 
 
 def parse_expression(text: str) -> Expr:
     """Parse an expression over generator names, eps, integers, *, +, -,
-    and parentheses."""
+    parentheses, and postfix powers g^n of a name or integer."""
     return _ExprParser(text).parse()
 
 
-def eval_expr(
-    expr: Expr | str,
-    conv: Convention,
-    pres: Presentation,
-    _reduce: bool = True,
-) -> Element:
-    """Evaluate an expression tree (or string) to a canonical element."""
+def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element:
+    """Evaluate an expression tree (or string) to a canonical element.
+
+    Each node goes to the public operation it names; a left-deep chain of
+    products or sums is folded in a loop, so flat chains of any length
+    need no recursion.
+    """
     if isinstance(expr, str):
         expr = parse_expression(expr)
     if isinstance(expr, NameExpr):
         if expr.name == "eps":
-            return _assemble({(): Coef(0, 1)}, conv, pres, _reduce)
-        return _assemble({(pres.index(expr.name),): Coef(1)}, conv, pres, _reduce)
+            return scalar_element(Coef(0, 1), conv, pres)
+        return generator_element(expr.name, conv, pres)
     if isinstance(expr, IntExpr):
-        return _assemble({(): Coef(expr.value)}, conv, pres, _reduce)
+        return scalar_element(expr.value, conv, pres)
     if isinstance(expr, NegExpr):
-        child = eval_expr(expr.child, conv, pres, _reduce)
-        raw = {monomial: -coef for monomial, coef in child.terms}
-        return _assemble(raw, conv, pres, _reduce)
-    if isinstance(expr, MulExpr):
-        left = eval_expr(expr.left, conv, pres, _reduce)
-        right = eval_expr(expr.right, conv, pres, _reduce)
-        if _reduce:
-            return multiply(left, right, conv, pres)
-        return _multiply_raw(left, right, conv, pres)
-    if isinstance(expr, AddExpr):
-        left = eval_expr(expr.left, conv, pres, _reduce)
-        right = eval_expr(expr.right, conv, pres, _reduce)
-        if left.is_zero:
-            return right
-        if right.is_zero:
-            return left
-        if left.degree != right.degree:
-            raise InhomogeneousError(f"cannot add bidegrees {left.degree} and {right.degree}")
-        raw = dict(left.terms)
-        for monomial, coef in right.terms:
-            raw[monomial] = raw.get(monomial, Coef()) + coef
-        return _assemble(raw, conv, pres, _reduce)
-    raise MotsignError(f"not an expression node: {expr!r}")
-
-
-def _multiply_raw(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
-    """Product without relation reduction, used to ingest relations."""
-    if x.is_zero or y.is_zero:
-        return ZERO
-    twist = eval_cocycle(conv.twist, x.degree, y.degree)
-    raw: dict[Monomial, Coef] = {}
-    for m1, c1 in x.terms:
-        for m2, c2 in y.terms:
-            merged, pen = _merge_words(m1, m2, pres)
-            raw[merged] = raw.get(merged, Coef()) + c1 * c2 * (twist * pen).to_coef()
-    return _assemble(raw, conv, pres, _reduce=False)
+        return scalar_mul(-1, eval_expr(expr.child, conv, pres), conv, pres)
+    if not isinstance(expr, (MulExpr, AddExpr)):
+        raise MotsignError(f"not an expression node: {expr!r}")
+    chain = type(expr)
+    op = multiply if chain is MulExpr else add_elements
+    rights = []
+    while type(expr) is chain:
+        rights.append(expr.right)
+        expr = expr.left
+    result = eval_expr(expr, conv, pres)
+    for right in reversed(rights):
+        result = op(result, eval_expr(right, conv, pres), conv, pres)
+    return result
 
 
 # ---------- transport between conventions ----------

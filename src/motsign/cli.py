@@ -36,7 +36,7 @@ from .conventions import (
     mode_to_json,
     twist_ratio,
 )
-from .errors import MotsignError
+from .errors import MotsignError, ParseError
 from .units import CoefMode, parse_bidegree, parse_unit
 
 __all__ = ["main"]
@@ -70,14 +70,18 @@ def _mode_from_args(args: argparse.Namespace) -> CoefMode:
 
 
 def _resolve_convention(token: str, mode: CoefMode) -> Convention:
-    if os.path.exists(token) or token.endswith(".json"):
-        with open(token, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        conv = convention_from_json(doc)
-        if conv.mode != mode and (mode.eps != "generic" or mode.modulus):
-            conv = Convention(conv.name, conv.twist, mode)
-        return conv
-    return convention(token, mode)
+    # presets and aliases win, so a file named like a preset never shadows it
+    try:
+        return convention(token, mode)
+    except ParseError:
+        if not (os.path.exists(token) or token.endswith(".json")):
+            raise
+    with open(token, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    conv = convention_from_json(doc)
+    if conv.mode != mode and (mode.eps != "generic" or mode.modulus):
+        conv = Convention(conv.name, conv.twist, mode)
+    return conv
 
 
 def _resolve_presentation(token: str) -> Presentation:

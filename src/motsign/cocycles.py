@@ -23,7 +23,6 @@ __all__ = [
     "CocycleCheck",
     "CoboundaryDecision",
     "DEFAULT_GRID",
-    "eval_cocycle",
     "unit_twist",
     "check_cocycle_identity",
     "coboundary",
@@ -67,9 +66,6 @@ class BilinearCocycle:
             self.m22 * other.m22,
         )
 
-    def inverse(self) -> "BilinearCocycle":
-        return self
-
     def is_trivial(self) -> bool:
         return self == TRIVIAL_COCYCLE
 
@@ -77,15 +73,10 @@ class BilinearCocycle:
 TRIVIAL_COCYCLE = BilinearCocycle(ONE, ONE, ONE, ONE)
 
 
-def eval_cocycle(alpha: BilinearCocycle, a: Bidegree, b: Bidegree) -> Unit:
-    """Value of the bilinear form at a pair of bidegrees."""
-    return alpha(a, b)
-
-
 def unit_twist(u: Unit) -> BilinearCocycle:
     """The cocycle u^(a2 (b1 - b2)) charging u per swap of a weight circle
     past a simplicial circle."""
-    return BilinearCocycle(ONE, ONE, u, u.inverse())
+    return BilinearCocycle(ONE, ONE, u, u)
 
 
 @dataclass(frozen=True)
@@ -165,8 +156,9 @@ def is_symmetric(alpha: BilinearCocycle) -> bool:
 
 
 def antisymmetrization(alpha: BilinearCocycle) -> Unit:
-    """m12 * m21^(-1): the complete invariant of the coboundary class."""
-    return alpha.m12 * alpha.m21.inverse()
+    """m12 * m21^(-1): the complete invariant of the coboundary class
+    (units are their own inverses)."""
+    return alpha.m12 * alpha.m21
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,8 @@ def count_classes(sub: UnitSubgroup) -> int:
     reps: list[BilinearCocycle] = []
     for fields in product(elems, repeat=4):
         alpha = BilinearCocycle(*fields)
-        if not any(is_coboundary(alpha * rep.inverse()) for rep in reps):
+        # alpha / rep = alpha * rep: every unit-valued cocycle is its own inverse
+        if not any(is_coboundary(alpha * rep) for rep in reps):
             reps.append(alpha)
     return len(reps)
 

@@ -95,9 +95,10 @@ def commutation_unit(conv: Convention, a: Bidegree, b: Bidegree) -> Unit:
     """The unit w(a, b) with x y = y x w(a, b) in the twisted product,
     specialized through the convention's mode.
 
-    w(a, b) = base_commutation(a, b) * twist(a, b)^(-1) * twist(b, a).
+    w(a, b) = base_commutation(a, b) * twist(a, b)^(-1) * twist(b, a), and
+    twist(a, b)^(-1) = twist(a, b) since every unit is its own inverse.
     """
-    w = base_commutation(a, b) * conv.twist(a, b).inverse() * conv.twist(b, a)
+    w = base_commutation(a, b) * conv.twist(a, b) * conv.twist(b, a)
     return w.specialize(conv.mode)
 
 
@@ -121,7 +122,7 @@ def twist_ratio(conv_a: Convention, conv_b: Convention) -> TwistRatio:
         raise ModeMismatchError(
             f"conventions {conv_a.name!r} and {conv_b.name!r} use different coefficient modes"
         )
-    ratio = conv_b.twist * conv_a.twist.inverse()
+    ratio = conv_b.twist * conv_a.twist  # twists are self-inverse
     decision: CoboundaryDecision = is_coboundary(ratio)
     return TwistRatio(ratio, decision.is_coboundary, decision.witness)
 

@@ -25,8 +25,6 @@ __all__ = [
     "CoefMode",
     "GENERIC",
     "Bidegree",
-    "unit_mul",
-    "unit_pow",
     "parse_unit",
     "specialize",
     "is_unit_coef",
@@ -52,9 +50,6 @@ class Unit:
     def __pow__(self, n: int) -> "Unit":
         # x^(-1) = x, so only n mod 2 matters
         return self if n % 2 else ONE
-
-    def inverse(self) -> "Unit":
-        return self
 
     def specialize(self, mode: "CoefMode") -> "Unit":
         """Image under the mode's eps substitution and modulus.
@@ -90,16 +85,6 @@ UNITS = (ONE, MINUS_ONE, EPS, MINUS_EPS)
 
 _UNIT_NAMES = {(0, 0): "1", (1, 0): "-1", (0, 1): "eps", (1, 1): "-eps"}
 _UNITS_BY_NAME = {name: Unit(s, t) for (s, t), name in _UNIT_NAMES.items()}
-
-
-def unit_mul(x: Unit, y: Unit) -> Unit:
-    """Group law of the Klein four-group on {1, -1, eps, -eps}."""
-    return x * y
-
-
-def unit_pow(x: Unit, n: int) -> Unit:
-    """n-th power; n may be negative and only matters mod 2."""
-    return x**n
 
 
 def parse_unit(text: str) -> Unit:
@@ -221,15 +206,14 @@ def parse_coef(text: str) -> Coef:
     m = _COEF_RE.match(compact)
     if not m or (m.group("int") is None and m.group("eps") is None):
         raise ParseError(f"not a coefficient: {text!r}")
-    a = int(m.group("int")) if m.group("int") is not None else 0
-    b = 0
-    if m.group("eps") is not None:
-        if m.group("int") is not None and m.group("sign") is None:
-            raise ParseError(f"missing sign between parts: {text!r}")
-        b = int(m.group("mag")) if m.group("mag") is not None else 1
-        if m.group("sign") == "-":
-            b = -b
-    return Coef(a, b)
+    if m.group("int") is not None and m.group("eps") is not None and m.group("sign") is None:
+        raise ParseError(f"missing sign between parts: {text!r}")
+    try:
+        a = int(m.group("int") or 0)
+        b = int(m.group("mag") or 1) if m.group("eps") is not None else 0
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(f"integer too long in coefficient: {text[:20]!r}...") from None
+    return Coef(a, -b if m.group("sign") == "-" else b)
 
 
 @dataclass(frozen=True)

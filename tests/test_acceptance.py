@@ -46,8 +46,6 @@ from motsign import (
     realized_sign,
     render_table,
     sensitivity_table,
-    unit_mul,
-    unit_pow,
     unit_twist,
     universal_presentation,
 )
@@ -88,11 +86,9 @@ def test_criterion_2_commutativity_law_equivalence():
     span = range(-6, 7)
     for a1, a2, b1, b2 in itertools.product(span, repeat=4):
         a, b = Bidegree(a1, a2), Bidegree(b1, b2)
-        expected = unit_mul(
-            unit_pow(MINUS_ONE, a1 * b1), unit_pow(MINUS_EPS, a2 * b1 + a1 * b2 + a2 * b2)
-        )
+        expected = MINUS_ONE ** (a1 * b1) * MINUS_EPS ** (a2 * b1 + a1 * b2 + a2 * b2)
         assert commutation_unit(eps_generic, a, b) == expected
-        total = unit_pow(MINUS_ONE, a1 * b1)
+        total = MINUS_ONE ** (a1 * b1)
         for conv in specialized.values():
             assert commutation_unit(conv, a, b) == total
     _passed(2, "commutativity-law equivalence on [-6,6]^4")

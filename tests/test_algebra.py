@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motsign import (
     Bidegree,
@@ -36,9 +37,9 @@ from motsign import (
     scalar_mul,
     transport_check,
     universal_presentation,
-    unit_mul,
 )
 from motsign import algebra
+from motsign.algebra import MAX_EXPONENT, MAX_NESTING
 
 REF = convention("reference")
 EPS_CONV = convention("epsilon")
@@ -81,8 +82,8 @@ def test_two_eta_squared_survives_minus_one_mode():
     assert not doubled.is_zero
     assert doubled.render(CATALOG) == "2*eta^2"
     eta_idx = CATALOG.index("eta")
-    assert doubled.coefficient((eta_idx, eta_idx)) == Coef(2)
-    assert doubled.coefficient((eta_idx,)) == Coef(0)
+    assert dict(doubled.terms).get((eta_idx, eta_idx), Coef()) == Coef(2)
+    assert dict(doubled.terms).get((eta_idx,), Coef()) == Coef(0)
 
 
 def test_normalize_empty_word_rejected():
@@ -156,6 +157,8 @@ def test_parse_expression_errors():
         parse_expression("(eta")
     with pytest.raises(ParseError):
         parse_expression("eta ! nu")
+    with pytest.raises(ParseError):
+        parse_expression("2*" + "9" * 5000)  # past the integer-string digit limit
     tree = parse_expression("-2*(eta + eps*eta)")
     assert eval_expr(tree, REF, CATALOG).render(CATALOG) == "-4*eta"
 
@@ -326,3 +329,65 @@ def test_commutation_law_holds_in_engine():
                 lhs = multiply(x, y, conv, CATALOG)
                 rhs = scalar_mul(w, multiply(y, x, conv, CATALOG), conv, CATALOG)
                 assert lhs == rhs
+
+
+def test_relations_are_read_as_written():
+    gens = [Generator("eta", Bidegree(1, 1)), Generator("nu", Bidegree(3, 2))]
+    pres = Presentation(gens, ["(1-eps)*eta", "(2-2*eps)*eta*nu"])
+    # the first relation does not reduce the second to zero: each relation
+    # is read on its own and becomes an annihilator entry
+    assert len(pres._ann_entries) == 2
+    assert pres.relations[1].terms == (((0, 1), Coef(2, -2)),)
+    assert eval_expr("(2-2*eps)*eta*nu", REF, pres) == ZERO
+
+
+def test_postfix_power():
+    assert eval_expr("nu*eta_top^2", EPS_CONV, CATALOG) == eval_expr("nu*eta_top*eta_top", EPS_CONV, CATALOG)
+    assert eval_expr("-eta^3", REF, CATALOG) == eval_expr("-(eta*eta*eta)", REF, CATALOG)
+    assert eval_expr("2^3*eta", REF, CATALOG) == eval_expr("8*eta", REF, CATALOG)
+    parse_expression(f"eta^{MAX_EXPONENT}")
+    for bad in ("eta^0", f"eta^{MAX_EXPONENT + 1}", "eta^x", "eta^", "(eta)^2", "eta^2^2"):
+        with pytest.raises(ParseError):
+            parse_expression(bad)
+
+
+def test_deep_and_long_expressions():
+    # flat chains of any length evaluate without recursion
+    assert eval_expr("*".join(["1"] * 3000) + "*eta", REF, CATALOG) == eval_expr("eta", REF, CATALOG)
+    assert eval_expr("+".join(["eta"] * 3000), REF, CATALOG) == eval_expr("3000*eta", REF, CATALOG)
+    nested = "(" * MAX_NESTING + "eta" + ")" * MAX_NESTING
+    assert eval_expr(nested, REF, CATALOG) == eval_expr("eta", REF, CATALOG)
+    assert eval_expr("-" * MAX_NESTING + "eta", REF, CATALOG) == eval_expr("eta", REF, CATALOG)
+    for bad in ("(" * 3000 + "eta" + ")" * 3000, "-" * 3000 + "eta", "(" * (MAX_NESTING + 1) + "eta" + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(ParseError):
+            parse_expression(bad)
+
+
+REWRITING = Presentation(
+    [Generator("x", Bidegree(1, 0)), Generator("y", Bidegree(1, 0)), Generator("z", Bidegree(2, 0))], ["x*x - z"]
+)
+# interchangeable generators of one bidegree, so random sums stay homogeneous
+SAME_DEGREE = {"eta_top": ("eta_top", "tau0"), "tau0": ("eta_top", "tau0"), "x": ("x", "y"), "y": ("x", "y")}
+ROUNDTRIP_MODES = [CoefMode(), CoefMode("+1"), CoefMode("-1"), CoefMode("generic", 2), CoefMode("generic", 4)]
+
+
+@st.composite
+def _homogeneous_sums(draw):
+    pres = draw(st.sampled_from([CATALOG, REWRITING]))
+    base = draw(st.lists(st.sampled_from([gen.name for gen in pres.generators]), min_size=1, max_size=5))
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.permutations([draw(st.sampled_from(SAME_DEGREE.get(name, (name,)))) for name in base]))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        summands.append(f"({a}+{b}*eps)*" + "*".join(word))
+    return pres, " + ".join(summands)
+
+
+@settings(deadline=None)
+@given(_homogeneous_sums(), st.sampled_from(PRESETS), st.sampled_from(ROUNDTRIP_MODES))
+def test_rendered_elements_parse_back(case, preset, mode):
+    pres, text = case
+    x = eval_expr(text, convention(preset.name, mode), pres)
+    # elements live on the reference word basis, so the rendering is read
+    # back under the reference convention
+    assert eval_expr(x.render(pres), convention("reference", mode), pres) == x

@@ -79,6 +79,23 @@ def test_eval_catalog(capsys):
     assert (code, out.strip()) == (0, "-nu*tau")
 
 
+def test_eval_accepts_rendered_powers(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--pres", "catalog-tau", "--convention", "epsilon", "nu*eta_top*eta_top")
+    assert (code, out.strip()) == (0, "nu*eta_top^2")
+    code, out, _ = run_cli(capsys, "eval", "--pres", "catalog-tau", "--convention", "epsilon", "nu*eta_top^2")
+    assert (code, out.strip()) == (0, "nu*eta_top^2")
+
+
+def test_file_does_not_shadow_preset(tmp_path, monkeypatch, capsys):
+    (tmp_path / "epsilon").write_text(json.dumps({"name": "file", "u": "1"}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "commute", "--convention", "epsilon", "--deg-a", "0,-1", "--deg-b", "3,2")
+    assert (code, out.strip()) == (0, "-eps")
+    # a path-like token still loads the file
+    code, out, _ = run_cli(capsys, "commute", "--convention", "./epsilon", "--deg-a", "0,-1", "--deg-b", "3,2")
+    assert (code, out.strip()) == (0, "-1")
+
+
 def test_eval_json_degree(capsys):
     code, out, _ = run_cli(capsys, "eval", "--pres", "catalog-tau", "--convention", "u=eps", "tau*nu", "--json")
     doc = json.loads(out)
@@ -202,6 +219,10 @@ def test_bad_inputs_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--pres", "catalog", "eta +")
     assert code == 2
     code, _, err = run_cli(capsys, "classes", "--units", "su2")
+    assert code == 2
+    code, _, err = run_cli(capsys, "eval", "(" * 3000 + "eta" + ")" * 3000)
+    assert code == 2
+    code, _, err = run_cli(capsys, "eval", "eta*" + "-" * 3000 + "eta")
     assert code == 2
 
 

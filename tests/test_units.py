@@ -19,8 +19,6 @@ from motsign import (
     parse_coef,
     parse_unit,
     specialize,
-    unit_mul,
-    unit_pow,
 )
 
 units_st = st.sampled_from(UNITS)
@@ -33,30 +31,30 @@ mode_st = st.sampled_from(
 def test_unit_group_table_exhaustive():
     # abelian group of exponent 2 with identity ONE
     for x in UNITS:
-        assert unit_mul(ONE, x) == x
-        assert unit_mul(x, x) == ONE
+        assert ONE * x == x
+        assert x * x == ONE
         for y in UNITS:
-            assert unit_mul(x, y) in UNITS
-            assert unit_mul(x, y) == unit_mul(y, x)
+            assert x * y in UNITS
+            assert x * y == y * x
     assert len(set(UNITS)) == 4
 
 
-def test_unit_mul_examples():
-    assert unit_mul(MINUS_ONE, MINUS_ONE) == ONE
-    assert unit_mul(EPS, MINUS_EPS) == MINUS_ONE
+def test_unit_product_examples():
+    assert MINUS_ONE * MINUS_ONE == ONE
+    assert EPS * MINUS_EPS == MINUS_ONE
     for x in UNITS:
-        assert unit_mul(ONE, x) == x
+        assert ONE * x == x
 
 
-def test_unit_pow_examples():
-    assert unit_pow(EPS, -2) == ONE
-    assert unit_pow(MINUS_EPS, -5) == MINUS_EPS
-    assert unit_pow(MINUS_ONE, 0) == ONE
+def test_unit_exponent_examples():
+    assert EPS**-2 == ONE
+    assert MINUS_EPS**-5 == MINUS_EPS
+    assert MINUS_ONE**0 == ONE
 
 
 @given(units_st, st.integers(-10, 10), st.integers(-10, 10))
-def test_unit_pow_additive(x, m, n):
-    assert unit_pow(x, m + n) == unit_mul(unit_pow(x, m), unit_pow(x, n))
+def test_unit_exponent_additive(x, m, n):
+    assert x ** (m + n) == x**m * x**n
 
 
 def test_specialize_examples():
@@ -139,6 +137,8 @@ def test_coef_render_parse_roundtrip():
         parse_coef("eps+1")  # integer part must come first
     with pytest.raises(ParseError):
         parse_coef("1eps")
+    with pytest.raises(ParseError):
+        parse_coef("9" * 5000 + "+eps")  # past the integer-string digit limit
 
 
 def test_bidegree_arithmetic_and_parse():
