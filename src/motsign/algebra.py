@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -117,16 +118,21 @@ class Element:
         parts = []
         for monomial, coef in self.terms:
             word = _render_monomial(monomial, pres)
+            try:
+                text = str(coef)
+            except ValueError:  # past the interpreter's integer-string digit limit
+                limit = sys.get_int_max_str_digits()
+                raise MotsignError(f"coefficient over the {limit}-digit integer limit: cannot render") from None
             if not word:
-                parts.append(str(coef))
+                parts.append(text)
             elif coef == Coef(1):
                 parts.append(word)
             elif coef == Coef(-1):
                 parts.append(f"-{word}")
             elif coef.a != 0 and coef.b != 0:
-                parts.append(f"({coef})*{word}")
+                parts.append(f"({text})*{word}")
             else:
-                parts.append(f"{coef}*{word}")
+                parts.append(f"{text}*{word}")
         return " + ".join(parts)
 
 

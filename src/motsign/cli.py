@@ -342,22 +342,17 @@ def _realize_row(conv: Convention, model: realize.RealizationModel, grid) -> tup
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     model = realize.builtin_model(args.model)
-    grid = _grid(args)
     if args.convention is not None:
-        conv = _resolve_convention(args.convention, CoefMode())
-        text, row = _realize_row(conv, model, grid)
-        doc = {"command": "realize", "grid": args.grid, "rows": [row]}
-        _emit(args, text, doc)
-        return 0
-    lines = []
-    rows = []
-    for name in ("reference", "minus-one", "epsilon", "minus-epsilon"):
-        conv = convention(name)
-        text, row = _realize_row(conv, model, grid)
-        lines.append(f"{conv.name:<14} {model.name:<16} {text}")
-        rows.append(row)
-    doc = {"command": "realize", "grid": args.grid, "rows": rows}
-    _emit(args, "\n".join(lines), doc)
+        text, row = _realize_row(_resolve_convention(args.convention, CoefMode()), model, _grid(args))
+        rows = [row]
+    else:
+        lines, rows = [], []
+        for name in ("reference", "minus-one", "epsilon", "minus-epsilon"):
+            text, row = _realize_row(convention(name), model, _grid(args))
+            lines.append(f"{name:<14} {model.name:<16} {text}")
+            rows.append(row)
+        text = "\n".join(lines)
+    _emit(args, text, {"command": "realize", "grid": args.grid, "rows": rows})
     return 0
 
 

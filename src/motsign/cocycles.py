@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_GRID",
     "unit_twist",
     "check_cocycle_identity",
+    "parity_classes",
     "coboundary",
     "is_symmetric",
     "is_coboundary",
@@ -115,8 +116,21 @@ class CocycleCheck:
         return self.holds
 
 
-def _identity_holds(f: Callable[[Bidegree, Bidegree], Unit], u: Bidegree, v: Bidegree, w: Bidegree) -> bool:
-    return f(u + v, w) * f(u, v) == f(v, w) * f(u, v + w)
+def parity_classes(grid: Iterable[int]) -> list[Bidegree]:
+    """One bidegree per parity class of grid x grid, where a scan in the
+    order (|p|+|q|, -p, -q) first meets it: each coordinate is the least
+    |x| of its parity, positive on a tie.  One pass, no copy of the grid."""
+    best: list[int | None] = [None, None]
+    for x in grid:
+        held = best[x & 1]
+        if held is None or abs(x) < abs(held) or (x > 0 and x == -held):
+            best[x & 1] = x
+    reps = [x for x in best if x is not None]
+    if not reps:
+        raise ValueError("grid must be nonempty")
+    coords = [Bidegree(p, q) for p in reps for q in reps]
+    coords.sort(key=lambda d: (abs(d.p) + abs(d.q), -d.p, -d.q))
+    return coords
 
 
 def check_cocycle_identity(
@@ -131,20 +145,15 @@ def check_cocycle_identity(
     representative per parity class; arbitrary callables are checked by
     brute force over the whole grid.
     """
-    points = list(grid)
-    if not points:
-        raise ValueError("grid must be nonempty")
     if isinstance(f, BilinearCocycle):
-        reps: list[int] = []
-        for parity in (0, 1):
-            for x in points:
-                if x % 2 == parity:
-                    reps.append(x)
-                    break
-        points = reps
-    coords = [Bidegree(p, q) for p in points for q in points]
+        coords = parity_classes(grid)
+    else:
+        points = list(grid)
+        if not points:
+            raise ValueError("grid must be nonempty")
+        coords = [Bidegree(p, q) for p in points for q in points]
     for u, v, w in product(coords, repeat=3):
-        if not _identity_holds(f, u, v, w):
+        if f(u + v, w) * f(u, v) != f(v, w) * f(u, v + w):
             return CocycleCheck(False, (u, v, w))
     return CocycleCheck(True, None)
 

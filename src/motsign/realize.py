@@ -5,7 +5,8 @@ the bigrading to a single integer, where it sends eps, and the bilinear
 defect measuring its failure to respect the reference product.  That is
 enough to decide, per convention, whether the induced map of homotopy
 rings is a ring homomorphism and whether commutation units land on the
-target's Koszul signs.
+target's Koszul signs.  Both depend on bidegrees only mod 2, so each
+decision tests at most 16 parity-class pairs, never the whole grid.
 
 The fixed-point model's trivial defect and eps |-> +1 are model
 assumptions chosen to reproduce the known decision outcomes, not data
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cocycles import BilinearCocycle, DEFAULT_GRID, TRIVIAL_COCYCLE, unit_twist
+from .cocycles import BilinearCocycle, DEFAULT_GRID, TRIVIAL_COCYCLE, parity_classes, unit_twist
 from .conventions import Convention, commutation_unit
 from .errors import MotsignError
 from .units import Bidegree, MINUS_ONE, Unit
@@ -81,17 +82,6 @@ def realized_sign(model: RealizationModel, unit: Unit) -> int:
     return sign
 
 
-def _ordered_bidegrees(grid: Iterable[int]) -> list[Bidegree]:
-    """Deterministic scan order: small degrees first, positive entries
-    preferred, so witnesses come out in a stable, readable spot."""
-    points = list(grid)
-    if not points:
-        raise ValueError("grid must be nonempty")
-    coords = [Bidegree(p, q) for p in points for q in points]
-    coords.sort(key=lambda d: (abs(d.p) + abs(d.q), -d.p, -d.q))
-    return coords
-
-
 @dataclass(frozen=True)
 class RingHomDecision:
     is_hom: bool
@@ -108,7 +98,7 @@ def is_ring_hom(
 ) -> RingHomDecision:
     """Whether realizing the twisted product lands multiplicatively on
     the target, i.e. the realized defect times twist is +1 on the grid."""
-    coords = _ordered_bidegrees(grid)
+    coords = parity_classes(grid)
     for a in coords:
         for b in coords:
             if realized_sign(model, model.defect(a, b) * conv.twist(a, b)) != 1:
@@ -132,7 +122,7 @@ def target_sign_compat(
 ) -> SignCompatDecision:
     """Whether the convention's commutation units realize to the target's
     Koszul signs (-1)^(collapse(a) collapse(b)) on the grid."""
-    coords = _ordered_bidegrees(grid)
+    coords = parity_classes(grid)
     for a in coords:
         for b in coords:
             expected = -1 if (collapse_degree(model, a) * collapse_degree(model, b)) % 2 else 1

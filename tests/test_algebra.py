@@ -391,3 +391,13 @@ def test_rendered_elements_parse_back(case, preset, mode):
     # elements live on the reference word basis, so the rendering is read
     # back under the reference convention
     assert eval_expr(x.render(pres), convention("reference", mode), pres) == x
+
+
+def test_render_refuses_coefficients_past_the_digit_limit():
+    # evaluates fine, but its coefficient has more digits than str() allows
+    huge = eval_expr("99999^1000*eta", REF, CATALOG)
+    with pytest.raises(MotsignError, match="cannot render"):
+        huge.render(CATALOG)
+    # a coefficient under the limit still renders and parses back
+    x = eval_expr("9^1000*9^1000*9^1000*9^1000*eta", REF, CATALOG)
+    assert eval_expr(x.render(CATALOG), REF, CATALOG) == x

@@ -224,6 +224,12 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "eval", "eta*" + "-" * 3000 + "eta")
     assert code == 2
+    # evaluates, but its coefficient is past the integer-string digit limit
+    code, out, err = run_cli(capsys, "eval", "--pres", "catalog", "99999^1000*eta")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot render" in err and "Traceback" not in err
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
 
 
 def test_module_entry_point_subprocess():

@@ -1,14 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from motsign import (
+    BilinearCocycle,
     Bidegree,
+    CoefMode,
     MODEL_NAMES,
     MINUS_ONE,
     MotsignError,
     ONE,
+    UNITS,
     builtin_model,
+    check_cocycle_identity,
     collapse_degree,
     commutation_unit,
     convention,
@@ -17,6 +22,7 @@ from motsign import (
     target_sign_compat,
     unit_twist,
 )
+from motsign.conventions import Convention
 
 PRESETS = ("reference", "minus-one", "epsilon", "minus-epsilon")
 
@@ -134,3 +140,87 @@ def test_betti_hom_iff_u_realizes_to_minus_one():
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
         is_ring_hom(convention("reference"), builtin_model("betti"), range(0))
+
+
+# ---------- brute-force oracle: the full ordered-grid scan ----------
+
+
+def _scan_order(points):
+    """Every bidegree of points x points, small degrees first, positive
+    entries preferred: the order a full scan meets them."""
+    coords = [Bidegree(p, q) for p in points for q in points]
+    coords.sort(key=lambda d: (abs(d.p) + abs(d.q), -d.p, -d.q))
+    return coords
+
+
+def _ring_hom_holds(conv, model, a, b):
+    return realized_sign(model, model.defect(a, b) * conv.twist(a, b)) == 1
+
+
+def _sign_compat_holds(conv, model, a, b):
+    koszul = -1 if (collapse_degree(model, a) * collapse_degree(model, b)) % 2 else 1
+    return realized_sign(model, commutation_unit(conv, a, b)) == koszul
+
+
+def _scan(holds, conv, model, coords):
+    """(decision, witness) of the first failing pair over the whole grid."""
+    for a in coords:
+        for b in coords:
+            if not holds(conv, model, a, b):
+                return False, (a, b)
+    return True, None
+
+
+ORACLE_GRIDS = {
+    "centred": range(-2, 3),
+    "zero only": range(0, 1),
+    "one only": range(1, 2),
+    "shifted": range(3, 8),
+    "negative only": range(-6, -1),
+    "stepped": range(0, 9, 2),
+    "list": [5, -5, 2, -2],
+}
+ORACLE_MODES = [CoefMode(), CoefMode("+1"), CoefMode("-1"), CoefMode("generic", 2), CoefMode("generic", 4)]
+ALL_TWISTS = [BilinearCocycle(*fields) for fields in itertools.product(UNITS, repeat=4)]
+
+
+def _oracle_conventions():
+    """The four presets, generic and in one other mode each, and 16 of the
+    256 bilinear twists (each field taking all four units), with the
+    coefficient modes taken in turn."""
+    convs = [convention(name) for name in PRESETS]
+    convs += [convention(name, mode) for name, mode in zip(PRESETS, ORACLE_MODES[1:])]
+    for i, twist in enumerate(random.Random(0).sample(ALL_TWISTS, 16)):
+        convs.append(Convention(f"twist{i}", twist, ORACLE_MODES[i % len(ORACLE_MODES)]))
+    return convs
+
+
+def test_decisions_match_full_grid_scan():
+    scans = {name: _scan_order(list(grid)) for name, grid in ORACLE_GRIDS.items()}
+    cases = 0
+    for model_name in MODEL_NAMES:
+        model = builtin_model(model_name)
+        for conv in _oracle_conventions():
+            for grid_name, grid in ORACLE_GRIDS.items():
+                for decide, holds in ((is_ring_hom, _ring_hom_holds), (target_sign_compat, _sign_compat_holds)):
+                    want = _scan(holds, conv, model, scans[grid_name])
+                    got = decide(conv, model, grid)
+                    assert (bool(got), got.witness) == want, (model_name, conv, grid_name, decide.__name__)
+                    # a one-shot generator over the same points gives the same answer
+                    assert decide(conv, model, iter(list(grid))) == got
+                    cases += 1
+    assert cases == len(MODEL_NAMES) * (8 + 16) * len(ORACLE_GRIDS) * 2
+
+
+def test_decisions_exact_on_huge_grid():
+    # far beyond what a scan of grid x grid x grid x grid could visit
+    huge = range(-10**5, 10**5 + 1)
+    for model_name in MODEL_NAMES:
+        model = builtin_model(model_name)
+        for conv_name in PRESETS:
+            conv = convention(conv_name)
+            assert is_ring_hom(conv, model, huge) == is_ring_hom(conv, model)
+    betti = builtin_model("betti")
+    assert target_sign_compat(convention("reference"), betti, huge) == target_sign_compat(convention("reference"), betti)
+    for u in UNITS:
+        assert check_cocycle_identity(unit_twist(u), huge) == check_cocycle_identity(unit_twist(u))
