@@ -362,7 +362,10 @@ class Presentation:
 
     def reduce_coef(self, monomial: Monomial, coef: Coef, mode: CoefMode = GENERIC) -> Coef:
         """Canonical representative of the coefficient modulo the
-        monomial's annihilator ideal (and the mode's modulus)."""
+        monomial's annihilator ideal (and the mode's modulus).
+
+        The one place a coefficient meets the mode: `specialize` is a
+        ring homomorphism, so callers pass unspecialized products."""
         coef = specialize(coef, mode)
         if self._raw:
             return coef
@@ -395,7 +398,7 @@ def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -
                 )
             monomial, rule = hit
             coef = terms.pop(monomial)
-            for new_monomial, new_coef in _apply_rule(monomial, coef, rule, conv, pres):
+            for new_monomial, new_coef in _apply_rule(monomial, coef, rule, pres):
                 total = terms.get(new_monomial, Coef()) + new_coef
                 total = pres.reduce_coef(new_monomial, total, mode)
                 if total.is_zero():
@@ -426,18 +429,16 @@ def _apply_rule(
     monomial: Monomial,
     coef: Coef,
     rule: _RewriteRule,
-    conv: Convention,
     pres: Presentation,
 ) -> list[tuple[Monomial, Coef]]:
-    mode = conv.mode
     rest = _multiset_diff(monomial, rule.lead)
     _, pen = _merge_words(rule.lead, rest, pres)
     # the merged word is the monomial itself; pen^(-1) = pen (order 2)
-    factor = coef * specialize(pen.specialize(mode).to_coef() * rule.neg_lead_inv, mode)
+    factor = coef * pen.to_coef() * rule.neg_lead_inv
     out = []
     for tail_monomial, tail_coef in rule.tail:
         merged, tail_pen = _merge_words(tail_monomial, rest, pres)
-        out.append((merged, factor * specialize(tail_coef, mode) * tail_pen.specialize(mode).to_coef()))
+        out.append((merged, factor * tail_coef * tail_pen.to_coef()))
     return out
 
 
@@ -471,7 +472,7 @@ def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -
         twist = conv.twist(pres.monomial_degree(merged), pres._degrees[idx])
         merged, pen = _merge_words(merged, (idx,), pres)
         unit = unit * twist * pen
-    return _assemble({merged: unit.specialize(conv.mode).to_coef()}, conv, pres)
+    return _assemble({merged: unit.to_coef()}, conv, pres)
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
@@ -483,8 +484,7 @@ def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> El
     for m1, c1 in x.terms:
         for m2, c2 in y.terms:
             merged, pen = _merge_words(m1, m2, pres)
-            unit = (twist * pen).specialize(conv.mode).to_coef()
-            raw[merged] = raw.get(merged, Coef()) + c1 * c2 * unit
+            raw[merged] = raw.get(merged, Coef()) + c1 * c2 * (twist * pen).to_coef()
     return _assemble(raw, conv, pres)
 
 
@@ -743,7 +743,7 @@ def transport_check(
     discrepancy = None
     if not agree:
         for unit in UNITS:
-            scaled = scalar_mul(unit.specialize(conv_to.mode).to_coef(), result_from, conv_to, pres)
+            scaled = scalar_mul(unit.to_coef(), result_from, conv_to, pres)
             if scaled == result_to:
                 discrepancy = unit
                 break

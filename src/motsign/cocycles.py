@@ -234,16 +234,13 @@ _SUBGROUP_ALIASES = {
 
 
 def count_classes(sub: UnitSubgroup) -> int:
-    """Number of coboundary classes of bilinear cocycles valued in sub,
-    by exhaustive enumeration of the finite family."""
-    elems = sub.elements()
-    reps: list[BilinearCocycle] = []
-    for fields in product(elems, repeat=4):
-        alpha = BilinearCocycle(*fields)
-        # alpha / rep = alpha * rep: every unit-valued cocycle is its own inverse
-        if not any(is_coboundary(alpha * rep) for rep in reps):
-            reps.append(alpha)
-    return len(reps)
+    """Number of coboundary classes of bilinear cocycles valued in sub.
+
+    The antisymmetrization m12 * m21 is a complete class invariant and
+    takes every value of sub (m21 = 1, m12 free), so the classes are
+    counted by the subgroup's order.
+    """
+    return len(sub.elements())
 
 
 def cocycle_to_json(alpha: BilinearCocycle) -> dict[str, str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .errors import DuplicateKeyError, ParseError
@@ -121,17 +121,7 @@ def render_table(rows: list[GroupTableRow], format: str = "csv") -> str:
             writer.writerow([row.name, row.stem, row.weight, int(row.eps_nonzero), row.source])
         return buffer.getvalue()
     if format == "json":
-        doc = [
-            {
-                "name": row.name,
-                "stem": row.stem,
-                "weight": row.weight,
-                "eps_nonzero": row.eps_nonzero,
-                "source": row.source,
-            }
-            for row in rows
-        ]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps([asdict(row) for row in rows], indent=2, sort_keys=True) + "\n"
     raise ParseError(f"unknown table format: {format!r}")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -8,6 +9,19 @@ import pytest
 from motsign.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SUBCOMMANDS = (
+    ["commute"],
+    ["cocycle", "check"],
+    ["cocycle", "class"],
+    ["cocycle", "ratio"],
+    ["classes"],
+    ["eval"],
+    ["transport"],
+    ["realize"],
+    ["sensitivity"],
+    ["scan"],
+)
 
 
 def run_cli(capsys, *argv):
@@ -224,12 +238,62 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "eval", "eta*" + "-" * 3000 + "eta")
     assert code == 2
+    # [0, 0] holds only the even class; the library still takes any grid
+    code, out, err = run_cli(capsys, "realize", "--model", "betti", "--grid", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--grid must be at least 1" in err
+    code, out, err = run_cli(capsys, "cocycle", "check", "--u", "eps", "--grid", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--grid must be at least 1" in err
     # evaluates, but its coefficient is past the integer-string digit limit
     code, out, err = run_cli(capsys, "eval", "--pres", "catalog", "99999^1000*eta")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "cannot render" in err and "Traceback" not in err
     assert f"{sys.get_int_max_str_digits()}-digit" in err
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ motsign ...` line of the
+    README; the output is every line up to the next prompt or the end of
+    the code block."""
+    examples = []
+    current = None
+    with open(README, encoding="utf-8") as handle:
+        for line in handle.read().splitlines():
+            if line.startswith("```"):
+                current = None
+            elif line.startswith("$ motsign "):
+                current = (shlex.split(line)[2:], [])
+                examples.append(current)
+            elif current is not None:
+                current[1].append(line)
+    return [(argv, "".join(out + "\n" for out in lines)) for argv, lines in examples]
+
+
+def test_readme_examples_and_help(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 15
+    for argv, expected in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected, ""), argv
+    for sub in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as info:
+            main([*sub, "--help"])
+        assert info.value.code == 0, sub
+        assert capsys.readouterr().out.startswith(f"usage: motsign {' '.join(sub)} ")
+
+
+def test_values_beginning_with_a_dash(capsys):
+    # attached with "=", or after "--" for the expression
+    code, out, _ = run_cli(capsys, "commute", "--deg-a=-1,-1", "--deg-b", "1,1")
+    assert (code, out) == (0, "eps\n")
+    code, out, _ = run_cli(capsys, "cocycle", "check", "--u=-eps")
+    assert (code, out) == (0, "COCYCLE\n")
+    code, out, _ = run_cli(capsys, "commute", "--convention=-eps", "--deg-a", "0,-1", "--deg-b", "3,2")
+    assert (code, out) == (0, "eps\n")
+    code, out, _ = run_cli(capsys, "eval", "--", "-eta")
+    assert (code, out) == (0, "-eta\n")
 
 
 def test_module_entry_point_subprocess():

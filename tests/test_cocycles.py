@@ -196,6 +196,23 @@ def test_count_classes():
     assert count_classes(UnitSubgroup.MINUS_EPS) == 2
 
 
+def _enumerated_classes(sub: UnitSubgroup) -> int:
+    """Oracle: keep one representative per class over all 4^4 (or fewer)
+    cocycles valued in sub."""
+    reps: list[BilinearCocycle] = []
+    for fields in itertools.product(sub.elements(), repeat=4):
+        alpha = BilinearCocycle(*fields)
+        # alpha / rep = alpha * rep: every unit-valued cocycle is its own inverse
+        if not any(is_coboundary(alpha * rep) for rep in reps):
+            reps.append(alpha)
+    return len(reps)
+
+
+@pytest.mark.parametrize("sub", list(UnitSubgroup))
+def test_count_classes_matches_enumeration(sub):
+    assert count_classes(sub) == _enumerated_classes(sub)
+
+
 def test_unit_subgroup_parsing():
     assert UnitSubgroup.from_string("minus-one") is UnitSubgroup.MINUS_ONE
     assert UnitSubgroup.from_string("gen-eps") is UnitSubgroup.EPS
