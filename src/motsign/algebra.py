@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -81,6 +82,7 @@ __all__ = [
 ]
 
 MAX_REWRITE_PASSES = 10_000
+MAX_BASIS_CACHE = 2**16  # annihilator bases kept per presentation; a miss past it drops the oldest
 MAX_NESTING = 100  # parentheses and unary minus, nested
 MAX_EXPONENT = 1000  # largest n in a postfix power g^n
 
@@ -143,7 +145,11 @@ def _render_monomial(monomial: Monomial, pres: "Presentation") -> str:
     factors = []
     for idx, count in sorted(Counter(monomial).items()):
         name = pres.generators[idx].name
-        factors.append(name if count == 1 else f"{name}^{count}")
+        # powers past MAX_EXPONENT are split into factors the parser accepts
+        whole, part = divmod(count, MAX_EXPONENT)
+        factors += [f"{name}^{MAX_EXPONENT}"] * whole
+        if part:
+            factors.append(name if part == 1 else f"{name}^{part}")
     return "*".join(factors)
 
 
@@ -208,16 +214,8 @@ def _reduce_mod_lattice(c: Coef, basis: tuple[tuple[int, int] | None, tuple[int,
 # ---------- monomial helpers ----------
 
 
-def _divides(div: Monomial, m: Monomial) -> bool:
-    """Multiset inclusion of sorted index tuples."""
-    i = 0
-    for x in m:
-        if i < len(div) and div[i] == x:
-            i += 1
-    return i == len(div)
-
-
-def _multiset_diff(m: Monomial, div: Monomial) -> Monomial:
+def _quotient(m: Monomial, div: Monomial) -> Monomial | None:
+    """m / div for sorted index tuples, or None when div does not divide m."""
     out = []
     i = 0
     for x in m:
@@ -225,7 +223,7 @@ def _multiset_diff(m: Monomial, div: Monomial) -> Monomial:
             i += 1
         else:
             out.append(x)
-    return tuple(out)
+    return tuple(out) if i == len(div) else None
 
 
 def _merge_words(m1: Monomial, m2: Monomial, pres: "Presentation") -> tuple[Monomial, Unit]:
@@ -322,10 +320,8 @@ class Presentation:
             raise MotsignError(f"unknown generator: {name!r}") from None
 
     def monomial_degree(self, monomial: Monomial) -> Bidegree:
-        degree = Bidegree(0, 0)
-        for idx in monomial:
-            degree = degree + self._degrees[idx]
-        return degree
+        degrees = self._degrees
+        return Bidegree(sum(degrees[idx].p for idx in monomial), sum(degrees[idx].q for idx in monomial))
 
     def eps_annihilated_generators(self) -> frozenset[str]:
         """Names g with a declared relation (1 - eps) * g = 0."""
@@ -343,7 +339,7 @@ class Presentation:
             return cached
         vectors: list[tuple[int, int]] = []
         for div, coef in self._ann_entries:
-            if _divides(div, monomial):
+            if _quotient(monomial, div) is not None:
                 vectors.append((coef.a, coef.b))
                 vectors.append((coef.b, coef.a))  # eps multiple
         for idx, count in Counter(monomial).items():
@@ -357,6 +353,8 @@ class Presentation:
             vectors.append((modulus, 0))
             vectors.append((0, modulus))
         basis = _hnf_basis(vectors) if vectors else (None, None)
+        if len(self._basis_cache) >= MAX_BASIS_CACHE:
+            del self._basis_cache[next(iter(self._basis_cache))]  # dicts keep insertion order
         self._basis_cache[key] = basis
         return basis
 
@@ -386,25 +384,34 @@ def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -
         if not coef.is_zero():
             terms[monomial] = coef
     if pres._rules:
+        # least rewritable monomial first, first matching rule; rules never
+        # change, so only a monomial a rewrite adds to needs another look
         passes = 0
-        while True:
-            hit = _find_rewritable(terms, pres)
-            if hit is None:
-                break
+        pending = sorted(terms)
+        while pending:
+            monomial = pending.pop(0)
+            if monomial not in terms:
+                continue
+            for rule in pres._rules:
+                rest = _quotient(monomial, rule.lead)
+                if rest is not None:
+                    break
+            else:
+                continue
             passes += 1
             if passes > MAX_REWRITE_PASSES:
                 raise RewriteLimitError(
                     f"no fixed point after {MAX_REWRITE_PASSES} rewrite passes"
                 )
-            monomial, rule = hit
             coef = terms.pop(monomial)
-            for new_monomial, new_coef in _apply_rule(monomial, coef, rule, pres):
+            for new_monomial, new_coef in _apply_rule(rest, coef, rule, pres):
                 total = terms.get(new_monomial, Coef()) + new_coef
                 total = pres.reduce_coef(new_monomial, total, mode)
                 if total.is_zero():
                     terms.pop(new_monomial, None)
                 else:
                     terms[new_monomial] = total
+                    insort(pending, new_monomial)
     if not terms:
         return ZERO
     degree = None
@@ -417,21 +424,13 @@ def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -
     return Element(tuple(sorted(terms.items())), degree)
 
 
-def _find_rewritable(terms: dict[Monomial, Coef], pres: Presentation):
-    for monomial in sorted(terms):
-        for rule in pres._rules:
-            if _divides(rule.lead, monomial):
-                return monomial, rule
-    return None
-
-
 def _apply_rule(
-    monomial: Monomial,
+    rest: Monomial,
     coef: Coef,
     rule: _RewriteRule,
     pres: Presentation,
 ) -> list[tuple[Monomial, Coef]]:
-    rest = _multiset_diff(monomial, rule.lead)
+    """The terms replacing coef * (rule.lead * rest) under the rule."""
     _, pen = _merge_words(rule.lead, rest, pres)
     # the merged word is the monomial itself; pen^(-1) = pen (order 2)
     factor = coef * pen.to_coef() * rule.neg_lead_inv
@@ -450,29 +449,22 @@ _REFERENCE = convention("reference")
 
 def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -> Element:
     """Expand the product of the word's generators, taken in the given
-    order under the convention, on the canonical sorted basis.
-
-    Each strictly inverted pair charges the reference commutation unit
-    and every factor pair charges the convention's twist once; the result
-    is then reduced modulo the relations.
-    """
+    order under the convention, on the canonical sorted basis: the left
+    fold of `multiply` over the generators."""
     if not word:
         raise MotsignError("cannot normalize an empty word")
-    merged: Monomial = ()
-    unit = ONE
+    factors = []
     for item in word:
-        if isinstance(item, str):
-            idx = pres.index(item)
-        else:
+        if not isinstance(item, str):
             idx = int(item)
             if not 0 <= idx < len(pres.generators):
                 raise MotsignError(f"generator index out of range: {idx}")
-        # the twist is bilinear, so one charge against the word built so
-        # far covers every earlier factor
-        twist = conv.twist(pres.monomial_degree(merged), pres._degrees[idx])
-        merged, pen = _merge_words(merged, (idx,), pres)
-        unit = unit * twist * pen
-    return _assemble({merged: unit.to_coef()}, conv, pres)
+            item = pres.generators[idx].name
+        factors.append(generator_element(item, conv, pres))
+    result = factors[0]
+    for factor in factors[1:]:
+        result = multiply(result, factor, conv, pres)
+    return result
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:

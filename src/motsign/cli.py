@@ -33,6 +33,7 @@ from .cocycles import (
     UnitSubgroup,
 )
 from .conventions import (
+    PRESET_NAMES,
     Convention,
     convention,
     convention_from_json,
@@ -249,7 +250,7 @@ def _cmd_transport(args: argparse.Namespace) -> dict:
 def _cmd_realize(args: argparse.Namespace) -> dict:
     model = realize.builtin_model(args.model)
     if args.convention is None:
-        convs = [convention(name) for name in ("reference", "minus-one", "epsilon", "minus-epsilon")]
+        convs = [convention(name) for name in PRESET_NAMES]
     else:
         convs = [_resolve_convention(args.convention, CoefMode())]
     grid = _grid(args)

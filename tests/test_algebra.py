@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,8 +240,8 @@ def test_normal_form_invariant_under_swap_order():
 
 
 def test_normalize_agrees_with_folded_multiply():
-    # a word is the product of its letters: the dedicated word expansion
-    # and a left fold of multiply must produce the same element
+    # a word is the product of its letters: normalize and a left fold of
+    # multiply must produce the same element
     rng = random.Random(13)
     names = [gen.name for gen in CATALOG.generators]
     for conv in PRESETS:
@@ -295,6 +296,99 @@ def test_rewrite_limit_guard(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_REWRITE_PASSES", 0)
     with pytest.raises(RewriteLimitError):
         eval_expr("x*x", REF, pres)
+
+
+def _rescan_assemble(raw, conv, pres):
+    """Reference for the rewrite order: sort every term on every pass and
+    rewrite the least monomial some rule divides, with the first such rule
+    in declaration order."""
+    terms = {}
+    for monomial, coef in raw.items():
+        coef = pres.reduce_coef(monomial, coef, conv.mode)
+        if not coef.is_zero():
+            terms[monomial] = coef
+    passes = 0
+    while True:
+        hits = [(m, rule) for m in sorted(terms) for rule in pres._rules if not Counter(rule.lead) - Counter(m)]
+        if not hits:
+            break
+        passes += 1
+        if passes > algebra.MAX_REWRITE_PASSES:
+            raise RewriteLimitError("no fixed point")
+        monomial, rule = hits[0]
+        rest = tuple(sorted((Counter(monomial) - Counter(rule.lead)).elements()))
+        coef = terms.pop(monomial)
+        for new_monomial, new_coef in algebra._apply_rule(rest, coef, rule, pres):
+            total = pres.reduce_coef(new_monomial, terms.get(new_monomial, Coef()) + new_coef, conv.mode)
+            if total.is_zero():
+                terms.pop(new_monomial, None)
+            else:
+                terms[new_monomial] = total
+    if not terms:
+        return ZERO
+    return Element(tuple(sorted(terms.items())), pres.monomial_degree(min(terms)))
+
+
+def _chained_presentation(rng, depth):
+    # the rewrite workload's shape: x_k*y_k rewrites to x_{k+1}*y_{k+1}
+    # times a pair of normal-form generators, and the last lead to pairs
+    d = Bidegree(rng.randint(-3, 5), rng.randint(-3, 3))
+    degrees = {n: d for n in "efg"}
+    relations = []
+    need = Bidegree(2 * d.p, 2 * d.q)
+    for k in reversed(range(depth)):
+        dx = Bidegree(2 * rng.randint(-2, 3), 2 * rng.randint(-2, 2))
+        degrees[f"x{k}"], degrees[f"y{k}"] = dx, Bidegree(need.p - dx.p, need.q - dx.q)
+        t1, t2 = rng.sample(["e*e", "e*f", "e*g", "f*f", "f*g", "g*g"], 2)
+        if k < depth - 1:
+            t1, t2 = f"x{k + 1}*y{k + 1}*{t1}", f"x{k + 1}*y{k + 1}*{t2}"
+        relations.append(f"x{k}*y{k} - {t1} - eps*{t2}")
+        need = need + Bidegree(2 * d.p, 2 * d.q)
+    relations.append(rng.choice(["(1-eps)*e*f*g", "2*e*f*g", "(1+eps)*e*f*g"]))
+    return Presentation([Generator(n, degrees[n]) for n in sorted(degrees)], relations)
+
+
+def _overlapping_presentation(rng):
+    # generators of one bidegree and leads sharing generators, so the
+    # rules are not confluent and the rewrite order changes the answer
+    names = "abcde"[: rng.randint(3, 5)]
+    d = Bidegree(rng.randint(-2, 3), rng.randint(-2, 2))
+    relations = []
+    for _ in range(rng.randint(2, 4)):
+        k = rng.randint(2, 3)
+        words = ["*".join(sorted(rng.choice(names) for _ in range(k))) for _ in range(rng.randint(2, 3))]
+        relations.append(" + ".join(rng.choice(["", "-", "eps*", "-eps*"]) + word for word in words))
+    return Presentation([Generator(n, d) for n in names], relations)
+
+
+def test_rewrite_order_matches_rescan_reference():
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 24:
+        try:
+            cases.append((_overlapping_presentation(rng), None))
+        except MotsignError:  # a relation with no unit lead, or one that is zero
+            continue
+    cases += [(_chained_presentation(rng, depth), depth) for depth in (2, 3, 2, 3)]
+    modes = [CoefMode(), CoefMode("-1"), CoefMode("generic", 4)]
+    for pres, depth in cases:
+        n = len(pres.generators)
+        for trial in range(12):
+            conv = convention("epsilon", modes[trial % 3])
+            raw = {}
+            if depth is None:
+                length = rng.randint(2, 6)
+                for _ in range(rng.randint(1, 4)):
+                    monomial = tuple(sorted(rng.randrange(n) for _ in range(length)))
+                    raw[monomial] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+            else:
+                # x0^a y0^a times a fixed number of e, f, g: one bidegree
+                a, length = rng.randint(1, 4), rng.randint(1, 3)
+                lead = (pres.index("x0"),) * a + (pres.index("y0"),) * a
+                for _ in range(rng.randint(1, 3)):
+                    normal = tuple(pres.index(rng.choice("efg")) for _ in range(length))
+                    raw[tuple(sorted(lead + normal))] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+            assert algebra._assemble(raw, conv, pres) == _rescan_assemble(raw, conv, pres)
 
 
 def test_element_rendering():
@@ -401,3 +495,34 @@ def test_render_refuses_coefficients_past_the_digit_limit():
     # a coefficient under the limit still renders and parses back
     x = eval_expr("9^1000*9^1000*9^1000*9^1000*eta", REF, CATALOG)
     assert eval_expr(x.render(CATALOG), REF, CATALOG) == x
+
+
+def test_rendered_powers_past_max_exponent_parse_back():
+    x = eval_expr(f"eta_top^{MAX_EXPONENT}*eta_top", REF, CATALOG)
+    assert x.render(CATALOG) == f"eta_top^{MAX_EXPONENT}*eta_top"
+    assert eval_expr(x.render(CATALOG), REF, CATALOG) == x
+    eta_top, tau0 = CATALOG.index("eta_top"), CATALOG.index("tau0")
+    word = (eta_top,) * (2 * MAX_EXPONENT + 1) + (tau0,) * 3
+    assert algebra._render_monomial(word, CATALOG) == f"eta_top^{MAX_EXPONENT}*eta_top^{MAX_EXPONENT}*eta_top*tau0^3"
+
+
+def test_basis_cache_is_bounded(monkeypatch):
+    convs = [convention(conv.name, mode) for conv in PRESETS for mode in ROUNDTRIP_MODES]
+    catalog_texts = ["eta*eta*nu", "rho*rho*eta", "(1-eps)*eta*nu*nu", "tau*tau*nu*eta_top", "2*sigma*sigma*tau0"]
+
+    def answers():
+        out, sizes = [], []
+        for pres, texts in [
+            (universal_presentation(include_tau=True), catalog_texts),
+            (Presentation(REWRITING.generators, ["x*x - z"]), ["x*x*x*y", "y*y*x*x*x"]),
+        ]:
+            for text in texts:
+                for conv in convs:
+                    out.append(eval_expr(text, conv, pres).render(pres))
+                    sizes.append(len(pres._basis_cache))
+        return out, max(sizes)
+
+    expected, size = answers()
+    assert size > 4
+    monkeypatch.setattr(algebra, "MAX_BASIS_CACHE", 4)
+    assert answers() == (expected, 4)
