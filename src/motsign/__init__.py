@@ -1,116 +1,18 @@
 """Exact arithmetic for the family of multiplications on Z x Z-graded
 homotopy rings: cocycle twists of the reference product, the induced
 graded-commutativity laws, translation between sign conventions,
-realization-compatibility checks, and a weight-parity table scanner."""
+realization-compatibility checks, and a weight-parity table scanner.
 
-from .algebra import (
-    AddExpr,
-    Element,
-    Expr,
-    Generator,
-    IntExpr,
-    MulExpr,
-    NameExpr,
-    NegExpr,
-    Presentation,
-    TransportReport,
-    ZERO,
-    add_elements,
-    eval_expr,
-    generator_element,
-    graded_commutator,
-    multiply,
-    normalize,
-    parse_expression,
-    presentation_from_json,
-    presentation_to_json,
-    scalar_element,
-    scalar_mul,
-    transport_check,
-)
-from .catalog import (
-    CatalogEntry,
-    PairSensitivity,
-    TAU,
-    TAU0,
-    UNIVERSAL,
-    sensitivity_table,
-    universal_presentation,
-)
-from .cocycles import (
-    BilinearCocycle,
-    CoboundaryDecision,
-    CocycleCheck,
-    DEFAULT_GRID,
-    QuadraticCochain,
-    UnitSubgroup,
-    antisymmetrization,
-    check_cocycle_identity,
-    coboundary,
-    cochain_from_json,
-    cochain_to_json,
-    cocycle_from_json,
-    cocycle_to_json,
-    count_classes,
-    is_coboundary,
-    is_symmetric,
-    unit_twist,
-)
-from .conventions import (
-    Convention,
-    PRESET_NAMES,
-    TwistRatio,
-    base_commutation,
-    commutation_unit,
-    convention,
-    convention_from_json,
-    convention_to_json,
-    error_factor,
-    super_degree,
-    twist_ratio,
-)
-from .errors import (
-    DuplicateKeyError,
-    InhomogeneousError,
-    ModeMismatchError,
-    MotsignError,
-    ParseError,
-    RewriteLimitError,
-)
-from .realize import (
-    MODEL_NAMES,
-    RealizationModel,
-    RingHomDecision,
-    SignCompatDecision,
-    builtin_model,
-    collapse_degree,
-    is_ring_hom,
-    realized_sign,
-    target_sign_compat,
-)
-from .scan import (
-    GroupTableRow,
-    check_conjecture,
-    load_sample_table,
-    parse_table,
-    render_table,
-)
-from .units import (
-    Bidegree,
-    Coef,
-    CoefMode,
-    EPS,
-    GENERIC,
-    MINUS_EPS,
-    MINUS_ONE,
-    ONE,
-    UNITS,
-    Unit,
-    is_unit_coef,
-    parse_bidegree,
-    parse_coef,
-    parse_unit,
-    specialize,
-)
+Each module's __all__ is the one list of its public names; the package
+republishes them all."""
+
+from .algebra import *
+from .catalog import *
+from .cocycles import *
+from .conventions import *
+from .errors import *
+from .realize import *
+from .scan import *
+from .units import *
 
 __version__ = "0.1.0"

@@ -756,10 +756,17 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 def presentation_from_json(doc: dict) -> Presentation:
     try:
-        generators = [
-            Generator(entry["name"], Bidegree(int(entry["degree"][0]), int(entry["degree"][1])))
-            for entry in doc["generators"]
-        ]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        generators = []
+        for entry in doc["generators"]:
+            name, degree = entry["name"], entry["degree"]
+            if not isinstance(name, str):
+                raise TypeError(f"generator name {name!r} is not a string")
+            if not isinstance(degree, list) or len(degree) != 2 or any(type(x) is not int for x in degree):
+                raise TypeError(f"degree {degree!r} of {name!r} is not a pair of integers")
+            generators.append(Generator(name, Bidegree(*degree)))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed presentation document: {exc}") from None
-    return Presentation(generators, tuple(doc.get("relations", ())))
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list) or not all(isinstance(rel, str) for rel in relations):
+        raise ParseError("malformed presentation document: relations must be an array of expression strings")
+    return Presentation(generators, tuple(relations))

@@ -9,7 +9,7 @@ arbitrary pair functions are only ever checked on finite grids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Iterable
 
@@ -243,29 +243,31 @@ def count_classes(sub: UnitSubgroup) -> int:
     return len(sub.elements())
 
 
+def _units_to_json(record: BilinearCocycle | QuadraticCochain) -> dict[str, str]:
+    return {field.name: str(getattr(record, field.name)) for field in fields(record)}
+
+
+def _units_from_json(cls: type, doc: dict[str, str], what: str) -> BilinearCocycle | QuadraticCochain:
+    """Read a record of unit fields, keyed by the dataclass's field names."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a JSON object")
+    try:
+        return cls(*(parse_unit(doc[field.name]) for field in fields(cls)))
+    except KeyError as missing:
+        raise ParseError(f"{what} document missing field {missing}") from None
+
+
 def cocycle_to_json(alpha: BilinearCocycle) -> dict[str, str]:
-    return {"m11": str(alpha.m11), "m12": str(alpha.m12), "m21": str(alpha.m21), "m22": str(alpha.m22)}
+    return _units_to_json(alpha)
 
 
 def cocycle_from_json(doc: dict[str, str]) -> BilinearCocycle:
-    try:
-        return BilinearCocycle(*(parse_unit(doc[key]) for key in ("m11", "m12", "m21", "m22")))
-    except KeyError as missing:
-        raise ParseError(f"cocycle document missing field {missing}") from None
+    return _units_from_json(BilinearCocycle, doc, "cocycle")
 
 
 def cochain_to_json(beta: QuadraticCochain) -> dict[str, str]:
-    return {
-        "c1": str(beta.c1),
-        "c2": str(beta.c2),
-        "c12": str(beta.c12),
-        "c11": str(beta.c11),
-        "c22": str(beta.c22),
-    }
+    return _units_to_json(beta)
 
 
 def cochain_from_json(doc: dict[str, str]) -> QuadraticCochain:
-    try:
-        return QuadraticCochain(*(parse_unit(doc[key]) for key in ("c1", "c2", "c12", "c11", "c22")))
-    except KeyError as missing:
-        raise ParseError(f"cochain document missing field {missing}") from None
+    return _units_from_json(QuadraticCochain, doc, "cochain")

@@ -142,7 +142,12 @@ def mode_to_json(mode: CoefMode) -> dict:
 
 
 def mode_from_json(doc: dict) -> CoefMode:
-    return CoefMode(doc.get("eps", "generic"), int(doc.get("modulus", 0)))
+    if not isinstance(doc, dict):
+        raise ParseError("convention mode must be a JSON object")
+    modulus = doc.get("modulus", 0)
+    if type(modulus) is not int:
+        raise ParseError(f"mode modulus must be an integer, got {modulus!r}")
+    return CoefMode(doc.get("eps", "generic"), modulus)
 
 
 def convention_to_json(conv: Convention) -> dict:
@@ -155,6 +160,8 @@ def convention_to_json(conv: Convention) -> dict:
 
 def convention_from_json(doc: dict) -> Convention:
     """Load {"name", "u" or "twist", "mode"} convention documents."""
+    if not isinstance(doc, dict):
+        raise ParseError("convention document must be a JSON object")
     mode = mode_from_json(doc.get("mode", {}))
     if "u" in doc and "twist" in doc:
         raise ParseError("convention document must give either 'u' or 'twist', not both")

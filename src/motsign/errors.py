@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MotsignError",
+    "ParseError",
+    "DuplicateKeyError",
+    "ModeMismatchError",
+    "InhomogeneousError",
+    "RewriteLimitError",
+]
+
 
 class MotsignError(Exception):
     """Base class for all errors raised by this package."""

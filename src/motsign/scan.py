@@ -83,19 +83,18 @@ def _parse_json(text: str) -> list[GroupTableRow]:
         if not isinstance(entry, dict):
             raise ParseError(f"row {idx} is not an object")
         try:
-            rows.append(
-                GroupTableRow(
-                    str(entry["name"]),
-                    int(entry["stem"]),
-                    int(entry["weight"]),
-                    bool(entry["eps_nonzero"]),
-                    str(entry["source"]),
-                )
-            )
+            name, stem, weight, eps_nonzero, source = (entry[key] for key in _CSV_COLUMNS)
         except KeyError as missing:
             raise ParseError(f"row {idx} missing field {missing}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"row {idx} malformed: {exc}") from None
+        # the CSV rules: bool is an int subclass, so true/false pass the
+        # eps_nonzero test and fail the stem/weight one
+        if not isinstance(name, str) or not isinstance(source, str):
+            raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
+        if type(stem) is not int or type(weight) is not int:
+            raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
+        if not isinstance(eps_nonzero, int) or eps_nonzero not in (0, 1):
+            raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {eps_nonzero!r}")
+        rows.append(GroupTableRow(name, stem, weight, bool(eps_nonzero), source))
     return rows
 
 

@@ -91,7 +91,7 @@ def parse_unit(text: str) -> Unit:
     """Parse one of "1", "-1", "eps", "-eps"."""
     try:
         return _UNITS_BY_NAME[text.strip()]
-    except KeyError:
+    except (KeyError, AttributeError):  # AttributeError: not a string, as a JSON number
         raise ParseError(f"not a unit: {text!r}") from None
 
 

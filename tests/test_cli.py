@@ -225,7 +225,7 @@ def test_usage_errors_exit_1(capsys):
     assert info.value.code == 1
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "commute", "--convention", "u=7", "--deg-a", "0,0", "--deg-b", "1,1")
     assert code == 2
     code, _, err = run_cli(capsys, "commute", "--convention", "u=1", "--deg-a", "zero", "--deg-b", "1,1")
@@ -251,6 +251,38 @@ def test_bad_inputs_exit_2(capsys):
     assert out == ""
     assert err.startswith("error:") and "cannot render" in err and "Traceback" not in err
     assert f"{sys.get_int_max_str_digits()}-digit" in err
+    # malformed JSON documents are input errors, never a traceback or a misread
+    gen = {"name": "x", "degree": [1, 0]}
+    documents = (
+        (("commute", "--deg-a", "0,1", "--deg-b", "1,0", "--convention"), [
+            [{"u": "eps"}],
+            {"u": "eps", "mode": ["generic"]},
+            {"u": "eps", "mode": {"modulus": None}},
+        ]),
+        (("cocycle", "class", "--file"), [
+            ["1", "1", "eps", "eps"],
+            {"m11": 1, "m12": "1", "m21": "eps", "m22": "eps"},
+        ]),
+        (("eval", "x*x", "--pres"), [
+            {"generators": [{"name": 5, "degree": [1, 0]}]},
+            {"generators": [gen], "relations": [5]},
+            {"generators": [gen], "relations": "x*x"},
+            {"generators": [gen], "relations": "2"},
+            {"generators": [{"name": "x", "degree": [1.5, 0]}]},
+            {"generators": [{"name": "x", "degree": [True, 0]}]},
+        ]),
+        (("scan", "--table"), [
+            [{"name": "a", "stem": 1, "weight": 1, "eps_nonzero": "0", "source": "s"}],
+            [{"name": "a", "stem": 1, "weight": 1.7, "eps_nonzero": 1, "source": "s"}],
+        ]),
+    )
+    for prefix, docs in documents:
+        for doc in docs:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, *prefix, str(path))
+            assert (code, out) == (2, ""), doc
+            assert err.startswith("error:") and "Traceback" not in err, doc
 
 
 def _readme_examples():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from motsign import (
@@ -65,6 +67,22 @@ def test_parse_json():
         parse_table('[{"name": "eta", "stem": 1}]', "json")
     with pytest.raises(ParseError):
         parse_table("[not json", "json")
+
+
+def test_json_rows_follow_the_csv_rules():
+    def row(name="a", stem=1, weight=1, eps_nonzero=0, source="s"):
+        return json.dumps([{"name": name, "stem": stem, "weight": weight, "eps_nonzero": eps_nonzero, "source": source}])
+
+    for flag, value in ((0, False), (1, True), (False, False), (True, True)):
+        assert parse_table(row(eps_nonzero=flag), "json") == [GroupTableRow("a", 1, 1, value, "s")]
+    # each value must have the type a CSV row is read as
+    for bad in (row(eps_nonzero="0"), row(eps_nonzero="1"), row(eps_nonzero=2), row(eps_nonzero=1.0),
+                row(eps_nonzero=None), row(weight=1.7), row(stem="1"), row(stem=True), row(weight=None),
+                row(name=None), row(source=["s"])):
+        with pytest.raises(ParseError):
+            parse_table(bad, "json")
+    with pytest.raises(ParseError):
+        parse_table("a,1,1.7,1,s\n", "csv")
 
 
 def test_round_trips_are_byte_stable():
