@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from itertools import product
 from typing import Callable, Iterable
 
 from .errors import ParseError
-from .units import EPS, MINUS_EPS, MINUS_ONE, ONE, Bidegree, Unit, parse_unit
+from .units import EPS, MINUS_EPS, MINUS_ONE, ONE, Bidegree, Unit, _unit, parse_unit
 
 __all__ = [
     "BilinearCocycle",
@@ -57,7 +56,7 @@ class BilinearCocycle:
         e11, e12, e21, e22 = a.p * b.p, a.p * b.q, a.q * b.p, a.q * b.q
         s = self.m11.s * e11 + self.m12.s * e12 + self.m21.s * e21 + self.m22.s * e22
         t = self.m11.t * e11 + self.m12.t * e12 + self.m21.t * e21 + self.m22.t * e22
-        return Unit(s, t)
+        return _unit(s, t)
 
     def __mul__(self, other: "BilinearCocycle") -> "BilinearCocycle":
         return BilinearCocycle(
@@ -95,7 +94,7 @@ class QuadraticCochain:
         e22 = a.q * (a.q - 1) // 2
         s = self.c1.s * a.p + self.c2.s * a.q + self.c12.s * (a.p * a.q) + self.c11.s * e11 + self.c22.s * e22
         t = self.c1.t * a.p + self.c2.t * a.q + self.c12.t * (a.p * a.q) + self.c11.t * e11 + self.c22.t * e22
-        return Unit(s, t)
+        return _unit(s, t)
 
 
 def coboundary(beta: QuadraticCochain) -> BilinearCocycle:
@@ -133,17 +132,38 @@ def parity_classes(grid: Iterable[int]) -> list[Bidegree]:
     return coords
 
 
+class _PairTable(dict):
+    """The bits s << 1 | t of f(a, b), keyed a * n*n + b, where the point
+    (p, q) is numbered (p - lo) * n + (q - lo); f is called on a key's
+    first lookup only, so the table holds just the pairs looked up."""
+
+    def __init__(self, f: Callable[[Bidegree, Bidegree], Unit], lo: int, n: int):
+        self.f, self.lo, self.n = f, lo, n
+
+    def __missing__(self, key: int) -> int:
+        lo, n = self.lo, self.n
+        a, b = divmod(key, n * n)
+        unit = self.f(Bidegree(a // n + lo, a % n + lo), Bidegree(b // n + lo, b % n + lo))
+        if not isinstance(unit, Unit):
+            raise TypeError(f"cocycle check: f returned {unit!r}, not a Unit")
+        bits = self[key] = unit.s << 1 | unit.t
+        return bits
+
+
 def check_cocycle_identity(
     f: BilinearCocycle | Callable[[Bidegree, Bidegree], Unit],
     grid: Iterable[int] = DEFAULT_GRID,
 ) -> CocycleCheck:
     """Test f(u+v,w) f(u,v) == f(v,w) f(u,v+w) for all bidegree triples
-    with entries in the grid.
+    with entries in the grid; the witness is the first failing triple in
+    itertools.product order.
 
     A bilinear cocycle only depends on its arguments mod 2, so for that
     input the full-grid check collapses, without loss, to one
-    representative per parity class; arbitrary callables are checked by
-    brute force over the whole grid.
+    representative per parity class.  Any other f is checked over the
+    whole grid but called at most once per distinct argument pair, so it
+    must be a pure function returning a Unit; any other return value
+    raises TypeError.
     """
     if isinstance(f, BilinearCocycle):
         coords = parity_classes(grid)
@@ -152,9 +172,24 @@ def check_cocycle_identity(
         if not points:
             raise ValueError("grid must be nonempty")
         coords = [Bidegree(p, q) for p in points for q in points]
-    for u, v, w in product(coords, repeat=3):
-        if f(u + v, w) * f(u, v) != f(v, w) * f(u, v + w):
-            return CocycleCheck(False, (u, v, w))
+    # Arguments range over P and P + P, P the coordinates in use (coords is
+    # P x P; P is not inside P + P when 0 is not in the grid).  [lo, hi]
+    # holds both, and numbering its points linearly makes
+    # index(u + v) = index(u) + index(v) + shift.
+    lo, hi = min(d.p for d in coords), max(d.p for d in coords)
+    lo, hi = min(lo, 2 * lo), max(hi, 2 * hi)
+    n = hi - lo + 1
+    nn, shift = n * n, lo * (n + 1)
+    index = [(d.p - lo) * n + d.q - lo for d in coords]
+    table = _PairTable(f, lo, n)
+    for iu, u in enumerate(index):
+        for iv, v in enumerate(index):
+            # key prefixes of the pairs (u + v, w), (v, w) and (u, v + w)
+            uv_, v_, u_v = (u + v + shift) * nn, v * nn, u * nn + v + shift
+            t_uv = table[u * nn + v]
+            for iw, w in enumerate(index):
+                if table[uv_ + w] ^ t_uv != table[v_ + w] ^ table[u_v + w]:
+                    return CocycleCheck(False, (coords[iu], coords[iv], coords[iw]))
     return CocycleCheck(True, None)
 
 

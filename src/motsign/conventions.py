@@ -20,7 +20,7 @@ from .cocycles import (
     unit_twist,
 )
 from .errors import ModeMismatchError, ParseError
-from .units import EPS, GENERIC, MINUS_EPS, MINUS_ONE, ONE, Bidegree, CoefMode, Unit, parse_unit
+from .units import EPS, GENERIC, MINUS_EPS, MINUS_ONE, ONE, Bidegree, CoefMode, Unit, _unit, parse_unit
 
 __all__ = [
     "Convention",
@@ -88,7 +88,7 @@ def convention(name: str, mode: CoefMode = GENERIC) -> Convention:
 def base_commutation(a: Bidegree, b: Bidegree) -> Unit:
     """Commutation unit of the untwisted reference product:
     (-1)^((a1-a2)(b1-b2)) * eps^(a2 b2)."""
-    return Unit((a.p - a.q) * (b.p - b.q), a.q * b.q)
+    return _unit((a.p - a.q) * (b.p - b.q), a.q * b.q)
 
 
 def commutation_unit(conv: Convention, a: Bidegree, b: Bidegree) -> Unit:
@@ -105,7 +105,7 @@ def commutation_unit(conv: Convention, a: Bidegree, b: Bidegree) -> Unit:
 def error_factor(a: Bidegree, b: Bidegree) -> Unit:
     """eps^(a2 b1 + a1 b2): the ratio of the epsilon- and
     reference-convention commutation units in generic mode."""
-    return Unit(0, a.q * b.p + a.p * b.q)
+    return _unit(0, a.q * b.p + a.p * b.q)
 
 
 @dataclass(frozen=True)
@@ -173,4 +173,6 @@ def convention_from_json(doc: dict) -> Convention:
         name = doc.get("name", "custom")
     else:
         raise ParseError("convention document needs a 'u' or 'twist' field")
+    if not isinstance(name, str):
+        raise ParseError(f"convention name must be a string, got {name!r}")
     return Convention(name, twist, mode)

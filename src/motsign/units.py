@@ -45,11 +45,11 @@ class Unit:
         object.__setattr__(self, "t", self.t % 2)
 
     def __mul__(self, other: "Unit") -> "Unit":
-        return Unit(self.s ^ other.s, self.t ^ other.t)
+        return _UNITS_BY_BITS[(self.s ^ other.s) << 1 | (self.t ^ other.t)]
 
     def __pow__(self, n: int) -> "Unit":
         # x^(-1) = x, so only n mod 2 matters
-        return self if n % 2 else ONE
+        return _UNITS_BY_BITS[self.s << 1 | self.t] if n % 2 else ONE
 
     def specialize(self, mode: "CoefMode") -> "Unit":
         """Image under the mode's eps substitution and modulus.
@@ -67,7 +67,7 @@ class Unit:
             s = t = 0
         elif mode.modulus == 2:
             s = 0
-        return Unit(s, t)
+        return _UNITS_BY_BITS[s << 1 | t]
 
     def to_coef(self) -> "Coef":
         sign = -1 if self.s else 1
@@ -83,8 +83,18 @@ EPS = Unit(0, 1)
 MINUS_EPS = Unit(1, 1)
 UNITS = (ONE, MINUS_ONE, EPS, MINUS_EPS)
 
+# The four units above are the only ones the library makes: every unit it
+# returns is looked up here by the 2-bit index s << 1 | t.
+_UNITS_BY_BITS = (ONE, EPS, MINUS_ONE, MINUS_EPS)
+
+
+def _unit(s: int, t: int) -> Unit:
+    """(-1)^s * eps^t for any ints s and t (& 1 is mod 2, negatives too)."""
+    return _UNITS_BY_BITS[(s & 1) << 1 | (t & 1)]
+
+
 _UNIT_NAMES = {(0, 0): "1", (1, 0): "-1", (0, 1): "eps", (1, 1): "-eps"}
-_UNITS_BY_NAME = {name: Unit(s, t) for (s, t), name in _UNIT_NAMES.items()}
+_UNITS_BY_NAME = {name: _unit(s, t) for (s, t), name in _UNIT_NAMES.items()}
 
 
 def parse_unit(text: str) -> Unit:

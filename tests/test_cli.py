@@ -258,6 +258,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             [{"u": "eps"}],
             {"u": "eps", "mode": ["generic"]},
             {"u": "eps", "mode": {"modulus": None}},
+            {"u": "eps", "name": [1]},
+            {"u": "eps", "name": None},
         ]),
         (("cocycle", "class", "--file"), [
             ["1", "1", "eps", "eps"],

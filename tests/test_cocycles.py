@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,3 +241,57 @@ def test_json_roundtrip():
         assert cochain_from_json(cochain_to_json(beta)) == beta
     with pytest.raises(ParseError):
         cocycle_from_json({"m11": "1"})
+
+
+def _scan_reference(f, grid):
+    """Oracle: the triple scan over the whole grid, calling f four times
+    per triple, as check_cocycle_identity did before it tabulated f."""
+    points = list(grid)
+    coords = [Bidegree(p, q) for p in points for q in points]
+    for u, v, w in itertools.product(coords, repeat=3):
+        if f(u + v, w) * f(u, v) != f(v, w) * f(u, v + w):
+            return False, (u, v, w)
+    return True, None
+
+
+DIFFERENTIAL_GRIDS = [range(-2, 3), range(0, 1), range(1, 2), range(3, 6), [5, -5, 2, -2], [1, 1, 0], range(0, 7, 2)]
+
+
+def _pair_functions(rng: random.Random, grid) -> list:
+    """Seeded spiked pair functions (one argument pair of some triple's
+    identity sent to a non-identity unit), coboundaries of quadratic
+    cochains, and non-cocycles built from unit powers."""
+    xs = list(grid)
+    fs = []
+    for _ in range(6):
+        u, v, w = (Bidegree(rng.choice(xs), rng.choice(xs)) for _ in range(3))
+        spike = rng.choice([(u + v, w), (u, v), (v, w), (u, v + w)])
+        unit = rng.choice(UNITS[1:])
+        fs.append(lambda a, b, spike=spike, unit=unit: unit if (a, b) == spike else ONE)
+    for _ in range(2):
+        beta = QuadraticCochain(*rng.choices(UNITS, k=5))
+        fs.append(lambda a, b, beta=beta: beta(a) * beta(b) * beta(a + b))
+    for _ in range(3):
+        x, y = rng.choices(UNITS[1:], k=2)
+        fs.append(lambda a, b, x=x, y=y: x**a.p * y ** (a.q * b.q * b.p))
+    return fs
+
+
+@pytest.mark.parametrize("grid", DIFFERENTIAL_GRIDS, ids=repr)
+def test_tabulated_check_matches_scan_reference(grid):
+    rng = random.Random(repr(grid))
+    for f in _pair_functions(rng, grid):
+        seen = set()
+
+        def once(a, b, f=f, seen=seen):
+            assert (a, b) not in seen, f"f evaluated twice at {(a, b)}"
+            seen.add((a, b))
+            return f(a, b)
+
+        result = check_cocycle_identity(once, grid)
+        assert (result.holds, result.witness) == _scan_reference(f, grid)
+
+
+def test_check_identity_rejects_non_unit_values():
+    with pytest.raises(TypeError, match=r"\(0, 1\)"):
+        check_cocycle_identity(lambda a, b: (0, 1), range(-1, 2))

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from motsign import (
     Bidegree,
+    BilinearCocycle,
     Coef,
     CoefMode,
     EPS,
@@ -12,8 +14,15 @@ from motsign import (
     MINUS_EPS,
     MINUS_ONE,
     ONE,
+    PRESET_NAMES,
     ParseError,
+    QuadraticCochain,
     UNITS,
+    Unit,
+    base_commutation,
+    commutation_unit,
+    convention,
+    error_factor,
     is_unit_coef,
     parse_bidegree,
     parse_coef,
@@ -148,3 +157,57 @@ def test_bidegree_arithmetic_and_parse():
     assert parse_bidegree("(0,-1)") == Bidegree(0, -1)
     with pytest.raises(ParseError):
         parse_bidegree("3")
+
+
+def _made(unit, s: int, t: int) -> None:
+    """A unit the library made is one of the four constants, and it is
+    (-1)^s eps^t by an independent reading of the bits."""
+    assert any(unit is u for u in UNITS), unit
+    assert (unit.s, unit.t) == (s % 2, t % 2)
+
+
+def _specialized_bits(u, mode: CoefMode) -> tuple[int, int]:
+    """Oracle: the first unit, in the order 1, -1, eps, -eps, whose
+    coefficient has the same image under the mode as u's."""
+    image = specialize(u.to_coef(), mode)
+    for s, t in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        if specialize(Coef((-1) ** s, 0) if t == 0 else Coef(0, (-1) ** s), mode) == image:
+            return s, t
+    raise AssertionError("no unit has the image of a unit")
+
+
+PRESET_BITS = {"reference": (0, 0), "minus-one": (1, 0), "epsilon": (0, 1), "minus-epsilon": (1, 1)}
+
+
+def test_every_unit_made_is_interned():
+    assert tuple(PRESET_BITS) == PRESET_NAMES
+    rng = random.Random(7)
+    ints = [0, 1, -1, 2, -2, 3, -3, 10**30, -(10**30), 10**30 + 1, -(10**30) - 1]
+    ints += [rng.randint(-(10**6), 10**6) for _ in range(20)]
+    degrees = [Bidegree(rng.choice(ints), rng.choice(ints)) for _ in range(30)]
+    for x, y in itertools.product(UNITS, repeat=2):
+        _made(x * y, x.s + y.s, x.t + y.t)
+    for x in (*UNITS, Unit(3, -5)):
+        for n in ints:
+            _made(x**n, x.s * n, x.t * n)
+        for eps, modulus in itertools.product(("generic", "+1", "-1"), range(5)):
+            mode = CoefMode(eps, modulus)
+            _made(x.specialize(mode), *_specialized_bits(x, mode))
+    for a, b in itertools.product(degrees, repeat=2):
+        _made(base_commutation(a, b), (a.p - a.q) * (b.p - b.q), a.q * b.q)
+        _made(error_factor(a, b), 0, a.q * b.p + a.p * b.q)
+        # the preset twists u^(a2 (b1 - b2)), applied as twist(a, b) twist(b, a)
+        twists = a.q * (b.p - b.q) + b.q * (a.p - a.q)
+        for name, (us, ut) in PRESET_BITS.items():
+            w = commutation_unit(convention(name), a, b)
+            _made(w, (a.p - a.q) * (b.p - b.q) + us * twists, a.q * b.q + ut * twists)
+    for _ in range(40):
+        alpha = BilinearCocycle(*rng.choices(UNITS, k=4))
+        beta = QuadraticCochain(*rng.choices(UNITS, k=5))
+        a, b = rng.choice(degrees), rng.choice(degrees)
+        exps = (a.p * b.p, a.p * b.q, a.q * b.p, a.q * b.q)
+        units = (alpha.m11, alpha.m12, alpha.m21, alpha.m22)
+        _made(alpha(a, b), sum(m.s * e for m, e in zip(units, exps)), sum(m.t * e for m, e in zip(units, exps)))
+        exps = (a.p, a.q, a.p * a.q, a.p * (a.p - 1) // 2, a.q * (a.q - 1) // 2)
+        units = (beta.c1, beta.c2, beta.c12, beta.c11, beta.c22)
+        _made(beta(a), sum(m.s * e for m, e in zip(units, exps)), sum(m.t * e for m, e in zip(units, exps)))
