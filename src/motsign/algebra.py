@@ -4,7 +4,10 @@ Elements live on the sorted-word basis of the reference product; a
 convention acts only through multiplication, so re-evaluating the same
 expression under two conventions compares two products on one underlying
 group.  Sorting a word into canonical generator order charges the
-reference commutation unit per adjacent swap, and a convention's twist
+reference commutation unit of every inverted letter pair; that unit is an
+F2 bilinear form in the two degrees, so a pair of words is charged through
+the parity of each generator's count: XOR masks over the words, tabulated
+per presentation, and one popcount per sign bit.  A convention's twist
 enters once per factor pair.
 
 Coefficients of a monomial are reduced modulo an annihilator lattice:
@@ -30,6 +33,8 @@ import sys
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .conventions import Convention, base_commutation, commutation_unit, convention
@@ -45,9 +50,9 @@ from .units import (
     Coef,
     CoefMode,
     GENERIC,
-    ONE,
     UNITS,
     Unit,
+    _unit,
     is_unit_coef,
     specialize,
 )
@@ -216,26 +221,39 @@ def _reduce_mod_lattice(c: Coef, basis: tuple[tuple[int, int] | None, tuple[int,
 
 def _quotient(m: Monomial, div: Monomial) -> Monomial | None:
     """m / div for sorted index tuples, or None when div does not divide m."""
-    out = []
-    i = 0
-    for x in m:
-        if i < len(div) and div[i] == x:
-            i += 1
-        else:
-            out.append(x)
-    return tuple(out) if i == len(div) else None
+    out = list(m)
+    try:
+        for x in div:
+            out.remove(x)  # the first occurrence, so out stays sorted
+    except ValueError:
+        return None
+    return tuple(out)
+
+
+def _xor_over(table: tuple[int, ...], word: Monomial) -> int:
+    """XOR of table[i] over the word's letters i: a letter that occurs an
+    even number of times cancels."""
+    return reduce(xor, map(table.__getitem__, word), 0)
 
 
 def _merge_words(m1: Monomial, m2: Monomial, pres: "Presentation") -> tuple[Monomial, Unit]:
     """Sorted union of two sorted words and the product of reference
-    commutation units over strictly inverted cross pairs."""
-    pen = ONE
-    degrees = pres._degrees
-    for i in m1:
-        for j in m2:
-            if i > j:
-                pen = pen * base_commutation(degrees[i], degrees[j])
-    return tuple(sorted(m1 + m2)), pen
+    commutation units over strictly inverted cross pairs.
+
+    Every unit has order 2, so that product is the product over generator
+    pairs i > j of B(i, j)^(c1_i c2_j), B the reference commutation unit
+    and c1, c2 the letter counts of m1, m2: each sign bit is the parity of
+    the pairs (i, j) with both counts odd and that bit set in B(i, j)."""
+    odd = _xor_over(pres._bits, m1)
+    s = _xor_over(pres._s_above, m2) & odd
+    t = _xor_over(pres._t_above, m2) & odd
+    return tuple(sorted(m1 + m2)), _unit(s.bit_count(), t.bit_count())
+
+
+def _signed(c: Coef, s: int, t: int) -> Coef:
+    """(-1)^s eps^t c for sign bits s and t: eps swaps c's two parts."""
+    a, b = (c.b, c.a) if t & 1 else (c.a, c.b)
+    return Coef(-a, -b) if s & 1 else Coef(a, b)
 
 
 def _expvec(monomial: Monomial, n: int) -> tuple[int, ...]:
@@ -253,6 +271,10 @@ class _RewriteRule:
     lead: Monomial
     neg_lead_inv: Coef
     tail: tuple[tuple[Monomial, Coef], ...]
+    # parity masks (bit i: generator i occurs an odd number of times) of
+    # the lead and of each tail monomial, in tail order
+    lead_odd: int
+    tail_odd: tuple[int, ...]
 
 
 class Presentation:
@@ -278,7 +300,25 @@ class Presentation:
             seen.add(gen.name)
         self.generators = gens
         self._index = {gen.name: i for i, gen in enumerate(gens)}
-        self._degrees = tuple(gen.degree for gen in gens)
+        self._degrees = degrees = tuple(gen.degree for gen in gens)
+        self._ps = tuple(d.p for d in degrees)
+        self._qs = tuple(d.q for d in degrees)
+        # The reference commutation unit as an F2 bilinear form: bit i of
+        # _s_above[j] (_t_above[j]) is the s (t) bit of B(d_i, d_j) for
+        # i > j, and _bits[i] = 1 << i; see _merge_words.  The diagonal
+        # gives the annihilator 1 - B(d, d) of a repeated generator.
+        n = len(gens)
+        self._bits = tuple(1 << i for i in range(n))
+        s_above, t_above, self_ann = [0] * n, [0] * n, []
+        for j in range(n):
+            for i in range(j, n):
+                unit = base_commutation(degrees[i], degrees[j])
+                if i == j:
+                    self_ann.append(Coef(1) - unit.to_coef())
+                else:
+                    s_above[j] |= unit.s << i
+                    t_above[j] |= unit.t << i
+        self._s_above, self._t_above, self._self_ann = tuple(s_above), tuple(t_above), tuple(self_ann)
         self._ann_entries: list[tuple[Monomial, Coef]] = []
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
@@ -305,7 +345,9 @@ class Presentation:
         if is_unit_coef(lead_coef):
             det = lead_coef.a * lead_coef.a - lead_coef.b * lead_coef.b
             inv = Coef(lead_coef.a * det, -lead_coef.b * det)
-            self._rules.append(_RewriteRule(lead, -inv, tuple(item for item in ranked[:-1])))
+            tail = tuple(ranked[:-1])
+            odd = tuple(_xor_over(self._bits, monomial) for monomial, _ in tail)
+            self._rules.append(_RewriteRule(lead, -inv, tail, _xor_over(self._bits, lead), odd))
         elif len(ranked) == 1:
             self._ann_entries.append((lead, lead_coef))
         else:
@@ -320,8 +362,7 @@ class Presentation:
             raise MotsignError(f"unknown generator: {name!r}") from None
 
     def monomial_degree(self, monomial: Monomial) -> Bidegree:
-        degrees = self._degrees
-        return Bidegree(sum(degrees[idx].p for idx in monomial), sum(degrees[idx].q for idx in monomial))
+        return Bidegree(sum(map(self._ps.__getitem__, monomial)), sum(map(self._qs.__getitem__, monomial)))
 
     def eps_annihilated_generators(self) -> frozenset[str]:
         """Names g with a declared relation (1 - eps) * g = 0."""
@@ -343,12 +384,10 @@ class Presentation:
                 vectors.append((coef.a, coef.b))
                 vectors.append((coef.b, coef.a))  # eps multiple
         for idx, count in Counter(monomial).items():
-            if count >= 2:
-                degree = self._degrees[idx]
-                self_coef = Coef(1) - base_commutation(degree, degree).to_coef()
-                if not self_coef.is_zero():
-                    vectors.append((self_coef.a, self_coef.b))
-                    vectors.append((self_coef.b, self_coef.a))
+            self_coef = self._self_ann[idx]
+            if count >= 2 and not self_coef.is_zero():
+                vectors.append((self_coef.a, self_coef.b))
+                vectors.append((self_coef.b, self_coef.a))
         if modulus:
             vectors.append((modulus, 0))
             vectors.append((0, modulus))
@@ -430,14 +469,18 @@ def _apply_rule(
     rule: _RewriteRule,
     pres: Presentation,
 ) -> list[tuple[Monomial, Coef]]:
-    """The terms replacing coef * (rule.lead * rest) under the rule."""
-    _, pen = _merge_words(rule.lead, rest, pres)
-    # the merged word is the monomial itself; pen^(-1) = pen (order 2)
-    factor = coef * pen.to_coef() * rule.neg_lead_inv
+    """The terms replacing coef * (rule.lead * rest) under the rule.
+
+    Every merge here has rest on the right, so rest's two masks (see
+    _merge_words) are built once and met with each monomial's parity mask."""
+    s_rest, t_rest = _xor_over(pres._s_above, rest), _xor_over(pres._t_above, rest)
+    # the merged word is the monomial itself; its unit is its own inverse
+    odd = rule.lead_odd
+    factor = _signed(coef * rule.neg_lead_inv, (s_rest & odd).bit_count(), (t_rest & odd).bit_count())
     out = []
-    for tail_monomial, tail_coef in rule.tail:
-        merged, tail_pen = _merge_words(tail_monomial, rest, pres)
-        out.append((merged, factor * tail_coef * tail_pen.to_coef()))
+    for (tail_monomial, tail_coef), odd in zip(rule.tail, rule.tail_odd):
+        merged = tuple(sorted(tail_monomial + rest))
+        out.append((merged, _signed(factor * tail_coef, (s_rest & odd).bit_count(), (t_rest & odd).bit_count())))
     return out
 
 
@@ -476,7 +519,8 @@ def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> El
     for m1, c1 in x.terms:
         for m2, c2 in y.terms:
             merged, pen = _merge_words(m1, m2, pres)
-            raw[merged] = raw.get(merged, Coef()) + c1 * c2 * (twist * pen).to_coef()
+            coef = _signed(c1 * c2, twist.s ^ pen.s, twist.t ^ pen.t)
+            raw[merged] = raw.get(merged, Coef()) + coef
     return _assemble(raw, conv, pres)
 
 

@@ -118,7 +118,14 @@ class CocycleCheck:
 def parity_classes(grid: Iterable[int]) -> list[Bidegree]:
     """One bidegree per parity class of grid x grid, where a scan in the
     order (|p|+|q|, -p, -q) first meets it: each coordinate is the least
-    |x| of its parity, positive on a tie.  One pass, no copy of the grid."""
+    |x| of its parity, positive on a tie.  A range is read arithmetically;
+    any other grid in one pass, with no copy."""
+    if isinstance(grid, range) and grid:
+        # |x| is convex in x's position, least at -start/step, so each
+        # parity's least |x| is at one of the four positions around it
+        last = (grid[-1] - grid.start) // grid.step  # len() overflows past sys.maxsize
+        k = min(max(-grid.start // grid.step, 0), last)
+        grid = grid[max(k - 1, 0):k + 3]
     best: list[int | None] = [None, None]
     for x in grid:
         held = best[x & 1]
@@ -166,30 +173,35 @@ def check_cocycle_identity(
     raises TypeError.
     """
     if isinstance(f, BilinearCocycle):
-        coords = parity_classes(grid)
+        pairs = [(d.p, d.q) for d in parity_classes(grid)]
+        points = [p for p, _ in pairs]
     else:
         points = list(grid)
         if not points:
             raise ValueError("grid must be nonempty")
-        coords = [Bidegree(p, q) for p in points for q in points]
-    # Arguments range over P and P + P, P the coordinates in use (coords is
-    # P x P; P is not inside P + P when 0 is not in the grid).  [lo, hi]
-    # holds both, and numbering its points linearly makes
-    # index(u + v) = index(u) + index(v) + shift.
-    lo, hi = min(d.p for d in coords), max(d.p for d in coords)
+        pairs = None
+    # Arguments range over P and P + P, P the coordinates in use (P x P
+    # for a callable; P is not inside P + P when 0 is not in the grid).
+    # [lo, hi] holds both, and numbering its points linearly makes
+    # index(u + v) = index(u) + index(v) + shift.  Only the witness is
+    # turned back into bidegrees.
+    lo, hi = min(points), max(points)
     lo, hi = min(lo, 2 * lo), max(hi, 2 * hi)
     n = hi - lo + 1
     nn, shift = n * n, lo * (n + 1)
-    index = [(d.p - lo) * n + d.q - lo for d in coords]
+    if pairs is None:
+        index = [(p - lo) * n + q - lo for p in points for q in points]
+    else:
+        index = [(p - lo) * n + q - lo for p, q in pairs]
     table = _PairTable(f, lo, n)
-    for iu, u in enumerate(index):
-        for iv, v in enumerate(index):
+    for u in index:
+        for v in index:
             # key prefixes of the pairs (u + v, w), (v, w) and (u, v + w)
             uv_, v_, u_v = (u + v + shift) * nn, v * nn, u * nn + v + shift
             t_uv = table[u * nn + v]
-            for iw, w in enumerate(index):
+            for w in index:
                 if table[uv_ + w] ^ t_uv != table[v_ + w] ^ table[u_v + w]:
-                    return CocycleCheck(False, (coords[iu], coords[iv], coords[iw]))
+                    return CocycleCheck(False, tuple(Bidegree(x // n + lo, x % n + lo) for x in (u, v, w)))
     return CocycleCheck(True, None)
 
 

@@ -391,6 +391,77 @@ def test_rewrite_order_matches_rescan_reference():
             assert algebra._assemble(raw, conv, pres) == _rescan_assemble(raw, conv, pres)
 
 
+def _merge_words_reference(m1, m2, pres):
+    """Oracle: the sorted union of two sorted words and one reference
+    commutation unit per strictly inverted cross pair, as _merge_words
+    computed it before it read parity masks."""
+    pen = ONE
+    degrees = pres._degrees
+    for i in m1:
+        for j in m2:
+            if i > j:
+                pen = pen * base_commutation(degrees[i], degrees[j])
+    return tuple(sorted(m1 + m2)), pen
+
+
+def _kernel_presentations():
+    rng = random.Random(43)
+    return [FREE, CATALOG] + [_chained_presentation(rng, depth) for depth in (1, 2, 3, 4)]
+
+
+def _random_words(rng, n):
+    """Sorted words over n generators: empty, short, long repeats of one or
+    two letters, and words of 200 and more letters."""
+    words = [(), (rng.randrange(n),)]
+    words += [tuple(sorted(rng.randrange(n) for _ in range(rng.randint(1, 8)))) for _ in range(6)]
+    for _ in range(3):
+        i, j = rng.randrange(n), rng.randrange(n)
+        words.append(tuple(sorted((i,) * rng.randint(2, 60) + (j,) * rng.randint(0, 5))))
+    words += [tuple(sorted(rng.randrange(n) for _ in range(rng.randint(200, 260)))) for _ in range(2)]
+    return words
+
+
+def test_merge_words_matches_per_pair_reference():
+    rng = random.Random(47)
+    for pres in _kernel_presentations():
+        n = len(pres.generators)
+        for _ in range(2):
+            words = _random_words(rng, n)
+            for m1 in words:
+                for m2 in words:
+                    assert algebra._merge_words(m1, m2, pres) == _merge_words_reference(m1, m2, pres)
+
+
+def test_quotient_matches_counter_reference():
+    rng = random.Random(53)
+    for pres in _kernel_presentations():
+        n = len(pres.generators)
+        words = _random_words(rng, n) + [rule.lead for rule in pres._rules]
+        for m in words:
+            # sub-words of m divide it; other words mostly do not
+            subs = [tuple(sorted(rng.sample(m, rng.randint(0, len(m))))) for _ in range(3)]
+            for div in subs + words[:8]:
+                rest = Counter(m) - Counter(div)
+                want = None if Counter(div) - Counter(m) else tuple(sorted(rest.elements()))
+                assert algebra._quotient(m, div) == want
+
+
+def test_apply_rule_matches_per_pair_reference():
+    rng = random.Random(59)
+    for pres in _kernel_presentations()[2:]:
+        n = len(pres.generators)
+        for rule in pres._rules:
+            for rest in _random_words(rng, n):
+                coef = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+                _, pen = _merge_words_reference(rule.lead, rest, pres)
+                factor = coef * pen.to_coef() * rule.neg_lead_inv
+                want = []
+                for tail_monomial, tail_coef in rule.tail:
+                    merged, tail_pen = _merge_words_reference(tail_monomial, rest, pres)
+                    want.append((merged, factor * tail_coef * tail_pen.to_coef()))
+                assert algebra._apply_rule(rest, coef, rule, pres) == want
+
+
 def test_element_rendering():
     assert ZERO.render(CATALOG) == "0"
     assert eval_expr("-eta", REF, CATALOG).render(CATALOG) == "-eta"

@@ -25,6 +25,7 @@ from motsign import (
     count_classes,
     is_coboundary,
     is_symmetric,
+    parity_classes,
     unit_twist,
 )
 
@@ -290,6 +291,46 @@ def test_tabulated_check_matches_scan_reference(grid):
 
         result = check_cocycle_identity(once, grid)
         assert (result.holds, result.witness) == _scan_reference(f, grid)
+
+
+def test_spiked_check_on_a_large_grid_tabulates_only_what_it_meets():
+    # one spike at the grid's first point fails the scan's second triple;
+    # the check must get there without first building the grid's bidegrees
+    corner = Bidegree(-1000, -1000)
+    calls = []
+
+    def f(a, b):
+        calls.append((a, b))
+        return MINUS_ONE if a == b == corner else ONE
+
+    result = check_cocycle_identity(f, range(-1000, 1001))
+    assert (result.holds, result.witness) == (False, (corner, corner, Bidegree(-1000, -999)))
+    assert len(calls) <= 8
+
+
+PARITY_RANGES = [range(0), range(3, 3), range(5, 0), range(0, 5, -1), range(7, 8), range(-8, -7), range(-6, 0),
+                 range(-1, -9, -1), range(-9, 10, 3), range(10, -9, -3), range(4, 40, 2), range(-5, 40, 2),
+                 range(-40, -3, 2), range(3, -40, -2), range(-7, 7), range(7, -8, -1), range(-7, 8)]
+
+
+def test_parity_classes_reads_ranges_like_the_walk():
+    # a range is read arithmetically; any other iterable is walked once, so
+    # the walk over the same points is the reference
+    rng = random.Random(41)
+    grids = PARITY_RANGES + [
+        range(start, start + rng.randint(-3, 20) * step, step)
+        for step in (1, -1, 2, -2, 3, -3)
+        for start in rng.sample(range(-25, 26), 12)
+    ]
+    for grid in grids:
+        if not grid:
+            with pytest.raises(ValueError):
+                parity_classes(grid)
+            continue
+        assert parity_classes(grid) == parity_classes(iter(grid)), grid
+    assert all(x.p < 0 and x.q < 0 for x in parity_classes(range(-40, -3, 2)))
+    huge = range(-3 * 10**30, 3 * 10**30 + 1, 3)  # past sys.maxsize: len() would overflow
+    assert parity_classes(huge) == [Bidegree(p, q) for p, q in ((0, 0), (3, 0), (0, 3), (3, 3))]
 
 
 def test_check_identity_rejects_non_unit_values():
