@@ -109,7 +109,8 @@ class Element:
 
     terms maps each monomial (a sorted tuple of generator indices) to a
     canonical nonzero coefficient; the zero element has no terms and no
-    degree.
+    degree.  Every term has bidegree `degree`: the operations rely on it,
+    and `multiply` takes the product's degree and twist from its factors'.
     """
 
     terms: tuple[tuple[Monomial, Coef], ...]
@@ -301,8 +302,6 @@ class Presentation:
         self.generators = gens
         self._index = {gen.name: i for i, gen in enumerate(gens)}
         self._degrees = degrees = tuple(gen.degree for gen in gens)
-        self._ps = tuple(d.p for d in degrees)
-        self._qs = tuple(d.q for d in degrees)
         # The reference commutation unit as an F2 bilinear form: bit i of
         # _s_above[j] (_t_above[j]) is the s (t) bit of B(d_i, d_j) for
         # i > j, and _bits[i] = 1 << i; see _merge_words.  The diagonal
@@ -335,9 +334,21 @@ class Presentation:
         self.relation_strings = tuple(rel if isinstance(rel, str) else rel.render(self) for rel in relations)
 
     def _classify_relation(self, element: Element) -> None:
+        # checked once here: rewriting keeps bidegrees only if every rule is homogeneous
+        if not isinstance(element, Element):
+            raise MotsignError(f"relation is neither a string nor an Element: {element!r}")
+        n = len(self.generators)
+        for monomial, coef in element.terms:
+            if not (isinstance(monomial, tuple) and all(type(i) is int and 0 <= i < n for i in monomial)
+                    and list(monomial) == sorted(monomial)):
+                raise MotsignError(f"relation word {monomial!r} is not a sorted tuple of generator indices")
+            if not isinstance(coef, Coef):
+                raise MotsignError(f"relation coefficient {coef!r} is not a Coef")
+            d = self.monomial_degree(monomial)
+            if d != element.degree:
+                raise InhomogeneousError(f"relation term of bidegree {d} in an element of degree {element.degree}")
         if element.is_zero:
             raise MotsignError("relation reduces to zero")
-        n = len(self.generators)
         ranked = sorted(element.terms, key=lambda item: _expvec(item[0], n))
         # distinct monomials have distinct exponent vectors, so the last
         # entry is strictly greatest and rewriting strictly decreases
@@ -362,7 +373,7 @@ class Presentation:
             raise MotsignError(f"unknown generator: {name!r}") from None
 
     def monomial_degree(self, monomial: Monomial) -> Bidegree:
-        return Bidegree(sum(map(self._ps.__getitem__, monomial)), sum(map(self._qs.__getitem__, monomial)))
+        return Bidegree(sum(self._degrees[i].p for i in monomial), sum(self._degrees[i].q for i in monomial))
 
     def eps_annihilated_generators(self) -> frozenset[str]:
         """Names g with a declared relation (1 - eps) * g = 0."""
@@ -415,7 +426,8 @@ class Presentation:
 # ---------- element assembly ----------
 
 
-def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -> Element:
+def _assemble(raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pres: Presentation) -> Element:
+    """Reduce and rewrite raw terms of the caller's bidegree; rules are homogeneous."""
     mode = conv.mode
     terms: dict[Monomial, Coef] = {}
     for monomial, coef in raw.items():
@@ -453,13 +465,6 @@ def _assemble(raw: dict[Monomial, Coef], conv: Convention, pres: Presentation) -
                     insort(pending, new_monomial)
     if not terms:
         return ZERO
-    degree = None
-    for monomial in terms:
-        d = pres.monomial_degree(monomial)
-        if degree is None:
-            degree = d
-        elif degree != d:
-            raise InhomogeneousError(f"terms of bidegrees {degree} and {d} in one element")
     return Element(tuple(sorted(terms.items())), degree)
 
 
@@ -521,7 +526,7 @@ def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> El
             merged, pen = _merge_words(m1, m2, pres)
             coef = _signed(c1 * c2, twist.s ^ pen.s, twist.t ^ pen.t)
             raw[merged] = raw.get(merged, Coef()) + coef
-    return _assemble(raw, conv, pres)
+    return _assemble(raw, x.degree + y.degree, conv, pres)
 
 
 def add_elements(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
@@ -534,7 +539,7 @@ def add_elements(x: Element, y: Element, conv: Convention, pres: Presentation) -
     raw = dict(x.terms)
     for monomial, coef in y.terms:
         raw[monomial] = raw.get(monomial, Coef()) + coef
-    return _assemble(raw, conv, pres)
+    return _assemble(raw, x.degree, conv, pres)
 
 
 def scalar_mul(scalar: Coef | int, x: Element, conv: Convention, pres: Presentation) -> Element:
@@ -543,7 +548,7 @@ def scalar_mul(scalar: Coef | int, x: Element, conv: Convention, pres: Presentat
     if x.is_zero or scalar.is_zero():
         return ZERO
     raw = {monomial: scalar * coef for monomial, coef in x.terms}
-    return _assemble(raw, conv, pres)
+    return _assemble(raw, x.degree, conv, pres)
 
 
 def graded_commutator(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
@@ -558,13 +563,14 @@ def graded_commutator(x: Element, y: Element, conv: Convention, pres: Presentati
 
 
 def generator_element(name: str, conv: Convention, pres: Presentation) -> Element:
-    return _assemble({(pres.index(name),): Coef(1)}, conv, pres)
+    idx = pres.index(name)
+    return _assemble({(idx,): Coef(1)}, pres._degrees[idx], conv, pres)
 
 
 def scalar_element(value: Coef | int, conv: Convention, pres: Presentation) -> Element:
     if isinstance(value, int):
         value = Coef(value)
-    return _assemble({(): value}, conv, pres)
+    return _assemble({(): value}, Bidegree(0, 0), conv, pres)
 
 
 # ---------- expressions ----------

@@ -165,23 +165,19 @@ def check_cocycle_identity(
     with entries in the grid; the witness is the first failing triple in
     itertools.product order.
 
-    A bilinear cocycle only depends on its arguments mod 2, so for that
-    input the full-grid check collapses, without loss, to one
-    representative per parity class.  Any other f is checked over the
-    whole grid but called at most once per distinct argument pair, so it
-    must be a pure function returning a Unit; any other return value
-    raises TypeError.
+    A bilinear cocycle holds without a scan: by bilinearity both sides
+    equal f(u,w) f(v,w) f(u,v).  Any other f is checked over the whole
+    grid but called at most once per distinct argument pair, so it must
+    be a pure function returning a Unit; any other return value raises
+    TypeError.
     """
+    points = grid if isinstance(grid, range) else list(grid)  # a huge range is never listed
+    if not points:
+        raise ValueError("grid must be nonempty")
     if isinstance(f, BilinearCocycle):
-        pairs = [(d.p, d.q) for d in parity_classes(grid)]
-        points = [p for p, _ in pairs]
-    else:
-        points = list(grid)
-        if not points:
-            raise ValueError("grid must be nonempty")
-        pairs = None
-    # Arguments range over P and P + P, P the coordinates in use (P x P
-    # for a callable; P is not inside P + P when 0 is not in the grid).
+        return CocycleCheck(True, None)
+    # Arguments range over P and P + P, P = grid x grid (P is not inside
+    # P + P when 0 is not in the grid).
     # [lo, hi] holds both, and numbering its points linearly makes
     # index(u + v) = index(u) + index(v) + shift.  Only the witness is
     # turned back into bidegrees.
@@ -189,10 +185,7 @@ def check_cocycle_identity(
     lo, hi = min(lo, 2 * lo), max(hi, 2 * hi)
     n = hi - lo + 1
     nn, shift = n * n, lo * (n + 1)
-    if pairs is None:
-        index = [(p - lo) * n + q - lo for p in points for q in points]
-    else:
-        index = [(p - lo) * n + q - lo for p, q in pairs]
+    index = [(p - lo) * n + q - lo for p in points for q in points]
     table = _PairTable(f, lo, n)
     for u in index:
         for v in index:

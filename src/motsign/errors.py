@@ -37,7 +37,7 @@ class ModeMismatchError(MotsignError):
 
 
 class InhomogeneousError(MotsignError):
-    """A sum mixes terms of different bidegrees."""
+    """A sum or a relation mixes terms of different bidegrees."""
 
 
 class RewriteLimitError(MotsignError):

@@ -38,14 +38,14 @@ class GroupTableRow:
 
 
 def _check_duplicates(rows: list[GroupTableRow]) -> None:
-    seen: dict[tuple[int, int, str], int] = {}
-    for line, row in enumerate(rows, start=1):
+    seen: set[tuple[int, int, str]] = set()
+    for row in rows:
         key = (row.stem, row.weight, row.name)
         if key in seen:
             raise DuplicateKeyError(
                 f"duplicate row key (stem={row.stem}, weight={row.weight}, name={row.name!r})"
             )
-        seen[key] = line
+        seen.add(key)
 
 
 def _parse_csv(text: str) -> list[GroupTableRow]:

@@ -24,7 +24,6 @@ from motsign import (
     UNIVERSAL,
     UnitSubgroup,
     ZERO,
-    base_commutation,
     builtin_model,
     check_cocycle_identity,
     check_conjecture,
@@ -49,7 +48,7 @@ from motsign import (
     unit_twist,
     universal_presentation,
 )
-from motsign import algebra
+from test_algebra import _random_swap_normalize
 
 PRESET_NAMES = ("reference", "minus-one", "epsilon", "minus-epsilon")
 
@@ -173,36 +172,6 @@ def test_criterion_6_algebra_engine():
     assert not doubled.is_zero
     assert doubled.terms[0][1] == Coef(2)
     _passed(6, "algebra engine: associativity, normal forms, commutators, relations")
-
-
-def _random_swap_normalize(word, conv, pres, rng):
-    idxs = [pres.index(name) for name in word]
-    degrees = pres._degrees
-    twist = ONE
-    for i in range(len(idxs)):
-        for j in range(i + 1, len(idxs)):
-            twist = twist * conv.twist(degrees[idxs[i]], degrees[idxs[j]])
-    pen = ONE
-    work = list(idxs)
-    steps = 0
-    while True:
-        inverted = [i for i in range(len(work) - 1) if work[i] > work[i + 1]]
-        if not inverted:
-            break
-        steps += 1
-        if steps > 500:
-            raise AssertionError("random sort did not terminate")
-        if rng.random() < 0.25 and len(work) > 1:
-            i = rng.randrange(len(work) - 1)
-            a, b = degrees[work[i]], degrees[work[i + 1]]
-            pen = pen * base_commutation(a, b) * base_commutation(b, a)
-            continue
-        i = rng.choice(inverted)
-        a, b = degrees[work[i]], degrees[work[i + 1]]
-        pen = pen * base_commutation(a, b)
-        work[i], work[i + 1] = work[i + 1], work[i]
-    coef = (twist * pen).specialize(conv.mode).to_coef()
-    return algebra._assemble({tuple(work): coef}, conv, pres)
 
 
 def test_criterion_7_sensitivity_analysis():

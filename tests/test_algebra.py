@@ -67,6 +67,48 @@ def test_presentation_validation():
         Presentation(gens, ["x - x"])
 
 
+AB = [Generator("a", Bidegree(1, 0)), Generator("b", Bidegree(2, 0))]
+
+
+def test_prebuilt_relation_mixing_bidegrees_rejected():
+    # a + b is a sum of terms of bidegrees (1,0) and (2,0); rewriting a to
+    # -b would silently change the degree of every element containing a
+    mixed = Element((((0,), Coef(1)), ((1,), Coef(1))), Bidegree(1, 0))
+    with pytest.raises(InhomogeneousError):
+        Presentation(AB, [mixed])
+    with pytest.raises(InhomogeneousError):  # homogeneous, but not of its stated degree
+        Presentation(AB, [Element((((1,), Coef(1)),), Bidegree(1, 0))])
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        Element((((7,), Coef(1)),), Bidegree(1, 0)),  # index out of range
+        Element((((-1,), Coef(1)),), Bidegree(2, 0)),  # negative index
+        Element((((1, 0), Coef(1)),), Bidegree(3, 0)),  # unsorted word
+        Element(((["a"], Coef(1)),), Bidegree(1, 0)),  # not a tuple of indices
+        Element((((0,), 1),), Bidegree(1, 0)),  # int coefficient
+        7,  # neither an expression string nor an element
+    ],
+)
+def test_malformed_prebuilt_relation_rejected(relation):
+    with pytest.raises(MotsignError):
+        Presentation(AB, [relation])
+
+
+def test_prebuilt_relation_matches_string_relation():
+    gens = [Generator("a", Bidegree(1, 0)), Generator("b", Bidegree(1, 0))]
+    prebuilt = Presentation(gens, [Element((((0,), Coef(1)), ((1,), Coef(-1))), Bidegree(1, 0))])
+    written = Presentation(gens, ["a - b"])
+    assert prebuilt.relations == written.relations
+    for mode in ROUNDTRIP_MODES:
+        conv = convention("epsilon", mode)
+        for pres in (prebuilt, written):
+            # a lone generator that leads a rule is rewritten as well
+            assert eval_expr("a", conv, pres).render(pres) == "b"
+            assert eval_expr("a*a", conv, pres) == eval_expr("b*b", conv, pres)
+
+
 def test_normalize_examples():
     assert normalize(["tau", "nu"], REF, CATALOG).render(CATALOG) == "-nu*tau"
     eta = normalize(["eta"], REF, CATALOG)
@@ -225,7 +267,7 @@ def _random_swap_normalize(word, conv, pres, rng):
         pen = pen * base_commutation(a, b)
         work[i], work[i + 1] = work[i + 1], work[i]
     coef = (twist * pen).specialize(conv.mode).to_coef()
-    return algebra._assemble({tuple(work): coef}, conv, pres)
+    return algebra._assemble({tuple(work): coef}, pres.monomial_degree(tuple(work)), conv, pres)
 
 
 def test_normal_form_invariant_under_swap_order():
@@ -388,7 +430,8 @@ def test_rewrite_order_matches_rescan_reference():
                 for _ in range(rng.randint(1, 3)):
                     normal = tuple(pres.index(rng.choice("efg")) for _ in range(length))
                     raw[tuple(sorted(lead + normal))] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
-            assert algebra._assemble(raw, conv, pres) == _rescan_assemble(raw, conv, pres)
+            degree = pres.monomial_degree(next(iter(raw)))
+            assert algebra._assemble(raw, degree, conv, pres) == _rescan_assemble(raw, conv, pres)
 
 
 def _merge_words_reference(m1, m2, pres):
