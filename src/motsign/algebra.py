@@ -22,7 +22,8 @@ Annihilator coefficients stay in the generic coefficient ring even when
 elements are evaluated under a specialized mode, so an eps-torsion
 relation never silently turns into integer torsion.  Relations with a
 unit leading coefficient are instead applied as rewrite rules, replacing
-the leading monomial by the negated tail until a fixed point.
+the leading monomial by the negated tail until a fixed point.  Without
+rules, a product chain is reduced once, at its end (see `_product`).
 """
 
 from __future__ import annotations
@@ -257,13 +258,6 @@ def _signed(c: Coef, s: int, t: int) -> Coef:
     return Coef(-a, -b) if s & 1 else Coef(a, b)
 
 
-def _expvec(monomial: Monomial, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for idx in monomial:
-        counts[idx] += 1
-    return tuple(counts)
-
-
 # ---------- presentations ----------
 
 
@@ -344,14 +338,16 @@ class Presentation:
                 raise MotsignError(f"relation word {monomial!r} is not a sorted tuple of generator indices")
             if not isinstance(coef, Coef):
                 raise MotsignError(f"relation coefficient {coef!r} is not a Coef")
+            if [m for m, _ in element.terms].count(monomial) > 1:
+                raise MotsignError(f"relation repeats the word {_render_monomial(monomial, self) or '1'!r}")
             d = self.monomial_degree(monomial)
             if d != element.degree:
                 raise InhomogeneousError(f"relation term of bidegree {d} in an element of degree {element.degree}")
         if element.is_zero:
             raise MotsignError("relation reduces to zero")
-        ranked = sorted(element.terms, key=lambda item: _expvec(item[0], n))
-        # distinct monomials have distinct exponent vectors, so the last
+        # ranked by exponent vector: the words are distinct, so the last
         # entry is strictly greatest and rewriting strictly decreases
+        ranked = sorted(element.terms, key=lambda item: [item[0].count(i) for i in range(n)])
         lead, lead_coef = ranked[-1]
         if is_unit_coef(lead_coef):
             det = lead_coef.a * lead_coef.a - lead_coef.b * lead_coef.b
@@ -378,11 +374,9 @@ class Presentation:
     def eps_annihilated_generators(self) -> frozenset[str]:
         """Names g with a declared relation (1 - eps) * g = 0."""
         associates = {Coef(1, -1), Coef(-1, 1)}
-        names = set()
-        for monomial, coef in self._ann_entries:
-            if len(monomial) == 1 and coef in associates:
-                names.add(self.generators[monomial[0]].name)
-        return frozenset(names)
+        return frozenset(
+            self.generators[m[0]].name for m, coef in self._ann_entries if len(m) == 1 and coef in associates
+        )
 
     def _annihilator_basis(self, monomial: Monomial, modulus: int):
         key = (monomial, modulus)
@@ -503,30 +497,42 @@ def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -
         raise MotsignError("cannot normalize an empty word")
     factors = []
     for item in word:
-        if not isinstance(item, str):
-            idx = int(item)
-            if not 0 <= idx < len(pres.generators):
-                raise MotsignError(f"generator index out of range: {idx}")
-            item = pres.generators[idx].name
-        factors.append(generator_element(item, conv, pres))
-    result = factors[0]
-    for factor in factors[1:]:
-        result = multiply(result, factor, conv, pres)
-    return result
+        idx = pres.index(item) if isinstance(item, str) else int(item)
+        if not 0 <= idx < len(pres.generators):
+            raise MotsignError(f"generator index out of range: {idx}")
+        factors.append(idx)
+    return _product(factors, conv, pres)
+
+
+def _product(factors: Iterable["Element | int"], conv: Convention, pres: Presentation) -> Element:
+    """Left fold of the product over the factors, in order, an int standing
+    for that generator.  Without rewrite rules, raw terms are folded and
+    assembled once, at the end: exact, since a word's annihilator ideal lies
+    in that of each multiple of it and `specialize` is a ring homomorphism.
+    With rules, each factor and partial product is assembled for rewriting."""
+    deferred = not pres._rules
+    x = None
+    for y in factors:
+        if type(y) is int:  # a generator
+            raw, degree = {(y,): Coef(1)}, pres._degrees[y]
+            y = Element(tuple(raw.items()), degree) if deferred else _assemble(raw, degree, conv, pres)
+        if x is None or x.is_zero or y.is_zero:
+            x = y if x is None else ZERO  # later factors are still evaluated, errors and all
+            continue
+        twist, raw = conv.twist(x.degree, y.degree), {}
+        for m1, c1 in x.terms:
+            for m2, c2 in y.terms:
+                merged, pen = _merge_words(m1, m2, pres)
+                coef = _signed(c1 * c2, twist.s ^ pen.s, twist.t ^ pen.t)
+                raw[merged] = raw[merged] + coef if merged in raw else coef
+        degree = x.degree + y.degree
+        x = Element(tuple(raw.items()), degree) if deferred else _assemble(raw, degree, conv, pres)
+    return _assemble(dict(x.terms), x.degree, conv, pres) if deferred and x.terms else x
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
     """Product of homogeneous elements under the convention's twist."""
-    if x.is_zero or y.is_zero:
-        return ZERO
-    twist = conv.twist(x.degree, y.degree)
-    raw: dict[Monomial, Coef] = {}
-    for m1, c1 in x.terms:
-        for m2, c2 in y.terms:
-            merged, pen = _merge_words(m1, m2, pres)
-            coef = _signed(c1 * c2, twist.s ^ pen.s, twist.t ^ pen.t)
-            raw[merged] = raw.get(merged, Coef()) + coef
-    return _assemble(raw, x.degree + y.degree, conv, pres)
+    return _product((x, y), conv, pres)
 
 
 def add_elements(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
@@ -563,8 +569,7 @@ def graded_commutator(x: Element, y: Element, conv: Convention, pres: Presentati
 
 
 def generator_element(name: str, conv: Convention, pres: Presentation) -> Element:
-    idx = pres.index(name)
-    return _assemble({(idx,): Coef(1)}, pres._degrees[idx], conv, pres)
+    return _product((pres.index(name),), conv, pres)
 
 
 def scalar_element(value: Coef | int, conv: Convention, pres: Presentation) -> Element:
@@ -619,12 +624,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
             break
-        if match.group("int"):
-            tokens.append(("int", match.group("int"), match.start() + 1))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), match.start() + 1))
-        else:
-            tokens.append(("op", match.group("op"), match.start() + 1))
+        tokens.append((match.lastgroup, match.group(match.lastgroup), match.start() + 1))
         pos = match.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens
@@ -650,12 +650,6 @@ class _ExprParser:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
-
-    def expect_op(self, op: str) -> None:
-        kind, value, col = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", column=col)
-        self.advance()
 
     def parse(self) -> Expr:
         expr = self.expr()
@@ -693,7 +687,9 @@ class _ExprParser:
                 raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", column=col)
             node = NegExpr(self.factor()) if value == "-" else self.expr()
             if value == "(":
-                self.expect_op(")")
+                kind, value, col = self.advance()
+                if (kind, value) != ("op", ")"):
+                    raise ParseError("expected ')'", column=col)
             self.depth -= 1
             return node
         if kind == "int":
@@ -724,9 +720,9 @@ def parse_expression(text: str) -> Expr:
 def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element:
     """Evaluate an expression tree (or string) to a canonical element.
 
-    Each node goes to the public operation it names; a left-deep chain of
-    products or sums is folded in a loop, so flat chains of any length
-    need no recursion.
+    Each node goes to the operation it names; a left-deep chain of products
+    (one `_product` fold) or sums is folded in a loop, so flat chains of
+    any length need no recursion.
     """
     if isinstance(expr, str):
         expr = parse_expression(expr)
@@ -741,14 +737,21 @@ def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element
     if not isinstance(expr, (MulExpr, AddExpr)):
         raise MotsignError(f"not an expression node: {expr!r}")
     chain = type(expr)
-    op = multiply if chain is MulExpr else add_elements
-    rights = []
+    operands = []
     while type(expr) is chain:
-        rights.append(expr.right)
+        operands.append(expr.right)
         expr = expr.left
-    result = eval_expr(expr, conv, pres)
-    for right in reversed(rights):
-        result = op(result, eval_expr(right, conv, pres), conv, pres)
+    operands = [expr, *reversed(operands)]
+    if chain is MulExpr:
+        # a generator leaf enters the product as its index
+        factors = (
+            pres.index(e.name) if type(e) is NameExpr and e.name != "eps" else eval_expr(e, conv, pres)
+            for e in operands
+        )
+        return _product(factors, conv, pres)
+    result = eval_expr(operands[0], conv, pres)
+    for operand in operands[1:]:
+        result = add_elements(result, eval_expr(operand, conv, pres), conv, pres)
     return result
 
 
@@ -782,13 +785,9 @@ def transport_check(
     result_from = eval_expr(expr, conv_from, pres)
     result_to = eval_expr(expr, conv_to, pres)
     agree = result_from == result_to
-    discrepancy = None
-    if not agree:
-        for unit in UNITS:
-            scaled = scalar_mul(unit.to_coef(), result_from, conv_to, pres)
-            if scaled == result_to:
-                discrepancy = unit
-                break
+    discrepancy = None if agree else next(
+        (unit for unit in UNITS if scalar_mul(unit.to_coef(), result_from, conv_to, pres) == result_to), None
+    )
     return TransportReport(text, conv_from.name, conv_to.name, result_from, result_to, agree, discrepancy)
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,23 @@ def test_prebuilt_relation_mixing_bidegrees_rejected():
 def test_malformed_prebuilt_relation_rejected(relation):
     with pytest.raises(MotsignError):
         Presentation(AB, [relation])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (((0,), Coef(2)), ((0,), Coef(1))),
+        (((0,), Coef(1)), ((0,), Coef(-1)), ((1,), Coef(1))),  # a + -a + b
+    ],
+)
+def test_prebuilt_relation_repeating_a_word_rejected(terms):
+    # such a rule's tail would hold its own lead, so rewriting a never ends
+    gens = [Generator("a", Bidegree(1, 0)), Generator("b", Bidegree(1, 0))]
+    with pytest.raises(MotsignError, match="relation repeats the word 'a'"):
+        Presentation(gens, [Element(terms, Bidegree(1, 0))])
+    written = Presentation(gens, ["a + -a + b"])  # a string is merged as it is read: b = 0
+    assert eval_expr("a", REF, written).render(written) == "a"
+    assert eval_expr("b", REF, written) == ZERO
 
 
 def test_prebuilt_relation_matches_string_relation():
@@ -640,3 +658,188 @@ def test_basis_cache_is_bounded(monkeypatch):
     assert size > 4
     monkeypatch.setattr(algebra, "MAX_BASIS_CACHE", 4)
     assert answers() == (expected, 4)
+
+
+# ---------- one reduction per product chain on rule-free presentations ----------
+
+ALL_MODES = [CoefMode(eps, modulus) for eps in ("generic", "+1", "-1") for modulus in (0, 1, 2, 3, 4, 6)]
+# 2*a and 3*a span a lattice holding 1, so a dies only when both are met;
+# a of degree (1,0) has 2*a^2 = 0 and b of degree (1,1) has (1-eps)*b^2 = 0
+KILLED = Presentation(
+    [Generator("a", Bidegree(1, 0)), Generator("b", Bidegree(1, 1)), Generator("c", Bidegree(2, 1))],
+    ["2*a", "3*a", "(1-eps)*b*c"],
+)
+TORSION = Presentation(
+    [Generator("a", Bidegree(1, 0)), Generator("b", Bidegree(1, 1)), Generator("c", Bidegree(0, 1))],
+    ["(1-eps)*a*b", "4*c", "(2+2*eps)*a*c", "6*b*b*c"],
+)
+
+
+def _rule_free_presentations():
+    rng = random.Random(59)
+    out = [KILLED, TORSION]
+    while len(out) < 8:
+        names = "abcd"[: rng.randint(2, 4)]
+        gens = [Generator(n, rng.choice([Bidegree(1, 0), Bidegree(1, 1), Bidegree(0, 1), Bidegree(2, 1)])) for n in names]
+        coefs = ["2", "3", "4", "6", "(1-eps)", "(1+eps)", "(2-2*eps)", "(2+eps)"]
+        words = ["*".join(rng.choice(names) for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(1, 4))]
+        pres = Presentation(gens, [f"{rng.choice(coefs)}*{word}" for word in words])
+        assert not pres._rules
+        out.append(pres)
+    return out
+
+
+RULE_FREE = _rule_free_presentations()
+
+
+def _pairwise_product(x, y, conv, pres):
+    """Reference product: merge, twist and assemble one pair of elements."""
+    if x.is_zero or y.is_zero:
+        return ZERO
+    twist = conv.twist(x.degree, y.degree)
+    raw = {}
+    for m1, c1 in x.terms:
+        for m2, c2 in y.terms:
+            merged, pen = algebra._merge_words(m1, m2, pres)
+            raw[merged] = raw.get(merged, Coef()) + c1 * c2 * (twist * pen).to_coef()
+    return algebra._assemble(raw, x.degree + y.degree, conv, pres)
+
+
+def _pairwise_eval(expr, conv, pres):
+    """Reference evaluation that assembles every leaf and every partial
+    product, folding a chain left to right; factors after a zero are still
+    evaluated."""
+    if isinstance(expr, algebra.NameExpr):
+        if expr.name == "eps":
+            return algebra._assemble({(): Coef(0, 1)}, Bidegree(0, 0), conv, pres)
+        idx = pres.index(expr.name)
+        return algebra._assemble({(idx,): Coef(1)}, pres._degrees[idx], conv, pres)
+    if isinstance(expr, algebra.IntExpr):
+        return algebra._assemble({(): Coef(expr.value)}, Bidegree(0, 0), conv, pres)
+    if isinstance(expr, algebra.NegExpr):
+        return scalar_mul(-1, _pairwise_eval(expr.child, conv, pres), conv, pres)
+    chain, operands = type(expr), []
+    while type(expr) is chain:
+        operands.append(expr.right)
+        expr = expr.left
+    op = _pairwise_product if chain is algebra.MulExpr else add_elements
+    result = _pairwise_eval(expr, conv, pres)
+    for operand in reversed(operands):
+        result = op(result, _pairwise_eval(operand, conv, pres), conv, pres)
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MotsignError as exc:
+        return type(exc), str(exc)
+
+
+def _random_text(rng, names, depth=0):
+    """Products with sums, integers, eps and negations as factors; a sum
+    adds a product to a reordered, rescaled copy of itself, so it stays
+    homogeneous, and is sometimes zero.  A rare leaf is 0 or an unknown
+    name, so that errors are compared too."""
+    roll = rng.random()
+    if depth > 1 or roll < 0.3:
+        if roll < 0.005:
+            return rng.choice(["0", "nosuch"])
+        return rng.choice(names + ["eps", "2", "3", "-" + rng.choice(names)])
+    factors = [_random_text(rng, names, depth + 1) for _ in range(rng.randint(2, 6))]
+    if roll < 0.75:
+        return "*".join(factors)
+    scale = rng.choice(["1", "-1", "eps", "-eps", "2", "(1-eps)"])
+    return f"({'*'.join(factors)} + {scale}*{'*'.join(reversed(factors))})"
+
+
+def test_deferred_product_matches_pairwise_fold():
+    rng = random.Random(61)
+    outcomes = Counter()
+    for pres in RULE_FREE:
+        names = [gen.name for gen in pres.generators]
+        for mode in ALL_MODES:
+            conv = convention(rng.choice(PRESETS).name, mode)
+            for _ in range(6):
+                text = _random_text(rng, names)
+                want = _outcome(_pairwise_eval, parse_expression(text), conv, pres)
+                assert _outcome(eval_expr, text, conv, pres) == want, (text, conv)
+                outcomes["error" if isinstance(want, tuple) else "zero" if want == ZERO else "nonzero"] += 1
+            word = [rng.choice(names) for _ in range(rng.randint(1, 8))]
+            assert normalize(word, conv, pres) == _pairwise_eval(parse_expression("*".join(word)), conv, pres)
+    assert outcomes["nonzero"] > 150 and outcomes["zero"] > 150 and outcomes["error"] > 10
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=str)
+def test_deferred_product_reduces_the_final_word(mode):
+    conv = convention("epsilon", mode)
+    for pres, text in [
+        (KILLED, "a*b"),  # 2*a and 3*a together kill a
+        (KILLED, "eps*b*c"),  # (1-eps)*b*c = 0 only on the whole word
+        (KILLED, "b*eps*c*b"),
+        (TORSION, "3*a*a*b"),  # 2*a^2 = 0, then (1-eps)*a*b = 0
+        (TORSION, "(1+eps)*a*c*a*b"),
+        (TORSION, "eps*b*b*eps"),  # (1-eps)*b^2 = 0
+        (TORSION, "5*c*c*c"),
+        (TORSION, "2*a*a*(a + -a)*nosuch"),  # zero part-way, then an unknown name
+    ]:
+        want = _outcome(_pairwise_eval, parse_expression(text), conv, pres)
+        assert _outcome(eval_expr, text, conv, pres) == want, text
+
+
+def _trees(names):
+    leaves = st.one_of(
+        st.sampled_from(names).map(algebra.NameExpr),
+        st.just(algebra.NameExpr("eps")),
+        st.integers(0, 4).map(algebra.IntExpr),
+    )
+
+    def extend(children):
+        products = st.lists(children, min_size=2, max_size=5).map(lambda fs: reduce(algebra.MulExpr, fs))
+        return st.one_of(
+            children.map(algebra.NegExpr),
+            products,
+            products.map(lambda p: algebra.AddExpr(p, algebra.NegExpr(p))),  # zero
+            st.tuples(children, children).map(lambda pair: algebra.AddExpr(*pair)),  # often inhomogeneous
+            st.tuples(products, leaves).map(lambda pair: algebra.AddExpr(pair[0], algebra.MulExpr(pair[1], pair[0]))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=20)
+
+
+@st.composite
+def _rule_free_cases(draw):
+    pres = draw(st.sampled_from(RULE_FREE))
+    return pres, draw(_trees([gen.name for gen in pres.generators]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_rule_free_cases(), st.sampled_from(PRESETS), st.sampled_from(ALL_MODES))
+def test_deferred_product_matches_pairwise_fold_on_random_trees(case, preset, mode):
+    pres, tree = case
+    conv = convention(preset.name, mode)
+    assert _outcome(eval_expr, tree, conv, pres) == _outcome(_pairwise_eval, tree, conv, pres)
+
+
+def test_long_flat_product_matches_pairwise_fold():
+    # e and f of even degree carry no self-annihilator, so the coefficient
+    # keeps growing until f*f and a*e appear and their annihilators act
+    gens = [Generator("a", Bidegree(1, 1)), Generator("e", Bidegree(2, 0)), Generator("f", Bidegree(0, 2))]
+    pres = Presentation(gens, ["(1-eps)*e*f*f", "12*a*e"])
+    rng = random.Random(67)
+    factors = [rng.choice(["e", "f", "eps", "-e", "3", "(2+eps)"]) for _ in range(2990)] + ["a"] * 10
+    rng.shuffle(factors)
+    expr = parse_expression("*".join(factors))
+    for mode in (CoefMode(), CoefMode("-1", 6)):
+        conv = convention("minus-epsilon", mode)
+        assert eval_expr(expr, conv, pres) == _pairwise_eval(expr, conv, pres)
+
+
+def test_factors_after_a_zero_are_still_evaluated():
+    for pres in (CATALOG, REWRITING, KILLED):
+        with pytest.raises(MotsignError, match="unknown generator: 'nosuch'"):
+            eval_expr("0*nosuch", REF, pres)
+    with pytest.raises(MotsignError, match="unknown generator: 'nosuch'"):
+        eval_expr("a*3*2*nosuch", REF, KILLED)  # a product that is zero at its end
+    with pytest.raises(InhomogeneousError):
+        eval_expr("0*(eta + nu)", REF, CATALOG)
