@@ -10,7 +10,9 @@ the parity of each generator's count: XOR masks over the words, tabulated
 per presentation, and one popcount per sign bit.  A convention's twist
 enters once per factor pair.
 
-Coefficients of a monomial are reduced modulo an annihilator lattice:
+Coefficients of a monomial are reduced modulo its annihilator ideal, which
+is generated by the mode's modulus and by each annihilator below together
+with its eps multiple; its canonical basis is three integers:
 
 * the commutation law itself forces (1 - kappa(d, d)) to annihilate any
   monomial containing a repeated generator of degree d (for example a
@@ -178,44 +180,26 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_basis(vectors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-    """Canonical basis (v1, v2) of the lattice spanned by the vectors,
-    echelonized against the eps coordinate first: v1 = (a1, b1) with
-    b1 > 0, v2 = (a2, 0) with a2 > 0; either may be absent."""
-    v1: tuple[int, int] | None = None
-    a_gcd = 0
-    for vec in vectors:
-        if vec == (0, 0):
-            continue
-        if vec[1] == 0:
-            a_gcd = math.gcd(a_gcd, abs(vec[0]))
-            continue
-        if v1 is None:
-            v1 = vec
-            continue
-        g, x, y = _ext_gcd(v1[1], vec[1])
-        merged = (x * v1[0] + y * vec[0], g)
-        a_gcd = math.gcd(a_gcd, abs(v1[0] - (v1[1] // g) * merged[0]))
-        a_gcd = math.gcd(a_gcd, abs(vec[0] - (vec[1] // g) * merged[0]))
-        v1 = merged
-    if v1 is not None and v1[1] < 0:
-        v1 = (-v1[0], -v1[1])
-    v2 = (a_gcd, 0) if a_gcd else None
-    if v1 is not None and v2 is not None:
-        v1 = (v1[0] % v2[0], v1[1])
-    return v1, v2
-
-
-def _reduce_mod_lattice(c: Coef, basis: tuple[tuple[int, int] | None, tuple[int, int] | None]) -> Coef:
-    v1, v2 = basis
-    a, b = c.a, c.b
-    if v1 is not None:
-        k = b // v1[1]
-        a -= k * v1[0]
-        b -= k * v1[1]
-    if v2 is not None:
-        a %= v2[0]
-    return Coef(a, b)
+def _ideal_basis(coefs: Iterable[Coef]) -> tuple[int, int, int]:
+    """Canonical basis (a1, b1, a2) of the ideal of Z[eps]/(eps^2 - 1) the
+    coefficients generate: the lattice in Z^2 spanned by each c and eps*c,
+    echelonized against the eps coordinate into a1 + b1*eps with b1 > 0
+    and a2 > 0 with 0 <= a1 < a2; a 0 in b1 or a2 marks that vector absent."""
+    a1 = b1 = a2 = 0
+    for c in coefs:
+        for a, b in ((c.a, c.b), (c.b, c.a)):
+            if not b:
+                a2 = math.gcd(a2, a)
+            elif not b1:
+                a1, b1 = a, b
+            else:
+                g, x, y = _ext_gcd(b1, b)
+                merged = x * a1 + y * a
+                a2 = math.gcd(a2, a1 - b1 // g * merged, a - b // g * merged)
+                a1, b1 = merged, g
+    if b1 < 0:
+        a1, b1 = -a1, -b1
+    return (a1 % a2 if a2 else a1), b1, a2
 
 
 # ---------- monomial helpers ----------
@@ -350,11 +334,10 @@ class Presentation:
         ranked = sorted(element.terms, key=lambda item: [item[0].count(i) for i in range(n)])
         lead, lead_coef = ranked[-1]
         if is_unit_coef(lead_coef):
-            det = lead_coef.a * lead_coef.a - lead_coef.b * lead_coef.b
-            inv = Coef(lead_coef.a * det, -lead_coef.b * det)
+            # a generic unit is one of 1, -1, eps, -eps: its own inverse
             tail = tuple(ranked[:-1])
             odd = tuple(_xor_over(self._bits, monomial) for monomial, _ in tail)
-            self._rules.append(_RewriteRule(lead, -inv, tail, _xor_over(self._bits, lead), odd))
+            self._rules.append(_RewriteRule(lead, -lead_coef, tail, _xor_over(self._bits, lead), odd))
         elif len(ranked) == 1:
             self._ann_entries.append((lead, lead_coef))
         else:
@@ -378,30 +361,6 @@ class Presentation:
             self.generators[m[0]].name for m, coef in self._ann_entries if len(m) == 1 and coef in associates
         )
 
-    def _annihilator_basis(self, monomial: Monomial, modulus: int):
-        key = (monomial, modulus)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        vectors: list[tuple[int, int]] = []
-        for div, coef in self._ann_entries:
-            if _quotient(monomial, div) is not None:
-                vectors.append((coef.a, coef.b))
-                vectors.append((coef.b, coef.a))  # eps multiple
-        for idx, count in Counter(monomial).items():
-            self_coef = self._self_ann[idx]
-            if count >= 2 and not self_coef.is_zero():
-                vectors.append((self_coef.a, self_coef.b))
-                vectors.append((self_coef.b, self_coef.a))
-        if modulus:
-            vectors.append((modulus, 0))
-            vectors.append((0, modulus))
-        basis = _hnf_basis(vectors) if vectors else (None, None)
-        if len(self._basis_cache) >= MAX_BASIS_CACHE:
-            del self._basis_cache[next(iter(self._basis_cache))]  # dicts keep insertion order
-        self._basis_cache[key] = basis
-        return basis
-
     def reduce_coef(self, monomial: Monomial, coef: Coef, mode: CoefMode = GENERIC) -> Coef:
         """Canonical representative of the coefficient modulo the
         monomial's annihilator ideal (and the mode's modulus).
@@ -411,10 +370,23 @@ class Presentation:
         coef = specialize(coef, mode)
         if self._raw:
             return coef
-        basis = self._annihilator_basis(monomial, mode.modulus)
-        if basis == (None, None):
+        key = (monomial, mode.modulus)
+        basis = self._basis_cache.get(key)
+        if basis is None:
+            basis = _ideal_basis([
+                *(c for div, c in self._ann_entries if _quotient(monomial, div) is not None),
+                *(self._self_ann[i] for i, count in Counter(monomial).items() if count > 1),
+                Coef(mode.modulus),
+            ])
+            if len(self._basis_cache) >= MAX_BASIS_CACHE:
+                del self._basis_cache[next(iter(self._basis_cache))]  # dicts keep insertion order
+            self._basis_cache[key] = basis
+        a1, b1, a2 = basis
+        if not (b1 or a2):
             return coef
-        return _reduce_mod_lattice(coef, basis)
+        k = coef.b // b1 if b1 else 0
+        a = coef.a - k * a1
+        return Coef(a % a2 if a2 else a, coef.b - k * b1)
 
 
 # ---------- element assembly ----------
@@ -782,6 +754,7 @@ def transport_check(
             f"conventions {conv_from.name!r} and {conv_to.name!r} use different coefficient modes"
         )
     text = expr if isinstance(expr, str) else "<expression>"
+    expr = parse_expression(expr) if isinstance(expr, str) else expr
     result_from = eval_expr(expr, conv_from, pres)
     result_to = eval_expr(expr, conv_to, pres)
     agree = result_from == result_to

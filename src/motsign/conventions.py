@@ -147,7 +147,10 @@ def mode_from_json(doc: dict) -> CoefMode:
     modulus = doc.get("modulus", 0)
     if type(modulus) is not int:
         raise ParseError(f"mode modulus must be an integer, got {modulus!r}")
-    return CoefMode(doc.get("eps", "generic"), modulus)
+    try:
+        return CoefMode(doc.get("eps", "generic"), modulus)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def convention_to_json(conv: Convention) -> dict:

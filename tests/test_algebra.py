@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -37,6 +39,7 @@ from motsign import (
     presentation_to_json,
     scalar_element,
     scalar_mul,
+    specialize,
     transport_check,
     universal_presentation,
 )
@@ -237,6 +240,16 @@ def test_transport_check_examples():
     assert report.agree
 
 
+def test_transport_check_parses_its_text_once(monkeypatch):
+    texts = ["tau*nu", "nu_top*sigma_top", "rho*nu + 2*eta*eta_top", "eps*eta*eta"]
+    expected = [transport_check(parse_expression(text), REF, EPS_CONV, CATALOG) for text in texts]
+    calls = []
+    monkeypatch.setattr(algebra, "parse_expression", lambda text: calls.append(text) or parse_expression(text))
+    for text, report in zip(texts, expected):
+        assert transport_check(text, REF, EPS_CONV, CATALOG) == replace(report, expression=text)
+    assert calls == texts
+
+
 def test_transport_check_mode_mismatch():
     with pytest.raises(ModeMismatchError):
         transport_check("eta", REF, convention("epsilon", CoefMode("-1")), CATALOG)
@@ -348,6 +361,10 @@ def test_rewrite_respects_unit_leading_coefficient():
     pres = Presentation(gens, ["eps*x*x - w"])
     # eps^-1 = eps, so x*x = eps*w
     assert eval_expr("x*x", REF, pres).render(pres) == "eps*w"
+    # every generic unit is its own inverse
+    for relation, expected in [("x*x - w", "w"), ("-x*x - w", "-w"), ("-eps*x*x + 3*w", "3*eps*w")]:
+        pres = Presentation(gens, [relation])
+        assert eval_expr("x*x", REF, pres).render(pres) == expected
 
 
 def test_rewrite_limit_guard(monkeypatch):
@@ -658,6 +675,76 @@ def test_basis_cache_is_bounded(monkeypatch):
     assert size > 4
     monkeypatch.setattr(algebra, "MAX_BASIS_CACHE", 4)
     assert answers() == (expected, 4)
+
+
+# ---------- annihilator reduction against a subgroup oracle ----------
+
+# each annihilator's expression text and its pair (a, b) for a + b*eps
+ORACLE_ANNIHILATORS = {
+    "2": (2, 0), "3": (3, 0), "4": (4, 0), "6": (6, 0), "(1-eps)": (1, -1), "(1+eps)": (1, 1),
+    "(2-2*eps)": (2, -2), "(2+eps)": (2, 1), "(3-5*eps)": (3, -5), "7*eps": (0, 7),
+}
+ORACLE_DEGREES = [Bidegree(1, 0), Bidegree(1, 1), Bidegree(0, 1), Bidegree(2, 1), Bidegree(2, 0)]
+
+
+def _circle_self_annihilator(d):
+    """1 - (-1)^((p-q)^2) eps^(q^2) as a pair: a generator of degree (p, q)
+    swapped past itself picks up that unit, so 1 minus it kills its square."""
+    sign = -1 if (d.p - d.q) % 2 else 1
+    return (1, -sign) if d.q % 2 else (1 - sign, 0)
+
+
+def _subgroup(pairs, n):
+    """The subgroup of (Z/n)^2 that the pairs and their eps multiples
+    generate, closed under addition breadth first."""
+    steps = [(a % n, b % n) for a, b in pairs] + [(b % n, a % n) for a, b in pairs]
+    seen, queue = {(0, 0)}, [(0, 0)]
+    for a, b in queue:
+        for da, db in steps:
+            v = ((a + da) % n, (b + db) % n)
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def test_reduce_coef_matches_subgroup_oracle():
+    # reduce_coef(x) == reduce_coef(y) exactly when specialize(x) -
+    # specialize(y) lies in the subgroup the word's annihilators generate
+    rng = random.Random(131)
+    for _ in range(8):
+        names = "abcd"[: rng.randint(2, 4)]
+        degrees = {name: rng.choice(ORACLE_DEGREES) for name in names}
+        declared = [
+            (Counter(rng.choice(names) for _ in range(rng.randint(1, 2))), rng.choice(list(ORACLE_ANNIHILATORS)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        pres = Presentation(
+            [Generator(name, d) for name, d in degrees.items()],
+            [f"{text}*" + "*".join(sorted(word.elements())) for word, text in declared],
+        )
+        assert not pres._rules
+        for _ in range(8):
+            counts = Counter(rng.choice(names) for _ in range(rng.randint(1, 4)))
+            monomial = tuple(sorted(pres.index(name) for name in counts.elements()))
+            pairs = [ORACLE_ANNIHILATORS[text] for word, text in declared if not word - counts]
+            pairs += [_circle_self_annihilator(degrees[name]) for name, k in counts.items() if k > 1]
+            for n in range(1, 13):
+                subgroup, coset = _subgroup(pairs, n), {}
+                for v in itertools.product(range(n), repeat=2):
+                    if v not in coset:
+                        for s in subgroup:
+                            coset[(v[0] + s[0]) % n, (v[1] + s[1]) % n] = v
+                for eps in ("generic", "+1", "-1"):
+                    mode = CoefMode(eps, n)
+                    classes = set()
+                    for a, b in itertools.product(range(n), repeat=2):
+                        x = Coef(a + n * rng.randint(-50, 50), b + n * rng.randint(-50, 50))
+                        y = specialize(x, mode)
+                        classes.add((pres.reduce_coef(monomial, x, mode), coset[y.a, y.b]))
+                    # one reduced value per coset, and one coset per value
+                    reduced, cosets = zip(*classes)
+                    assert len(classes) == len(set(reduced)) == len(set(cosets)), (pres.relation_strings, counts, mode)
 
 
 # ---------- one reduction per product chain on rule-free presentations ----------

@@ -149,6 +149,16 @@ def test_convention_json_roundtrip():
         convention_from_json({"u": "1", "twist": {"m11": "1", "m12": "1", "m21": "1", "m22": "1"}})
 
 
+@pytest.mark.parametrize("mode", [{"eps": "bogus"}, {"modulus": -3}])
+def test_malformed_mode_document_raises_parse_error(mode):
+    with pytest.raises(ValueError) as direct:
+        CoefMode(mode.get("eps", "generic"), mode.get("modulus", 0))
+    with pytest.raises(ParseError) as loaded:
+        convention_from_json({"u": "eps", "mode": mode})
+    # the CLI prints the message as it did when the ValueError escaped
+    assert str(loaded.value) == str(direct.value)
+
+
 def test_custom_convention_commutation():
     # twisting by a symmetric cocycle never changes the commutation law
     from motsign import BilinearCocycle
