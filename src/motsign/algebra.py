@@ -584,22 +584,8 @@ class AddExpr(Expr):
     right: Expr
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-            break
-        tokens.append((match.lastgroup, match.group(match.lastgroup), match.start() + 1))
-        pos = match.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+# an operator token is known by its text alone; bad is any stray character
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^])|(?P<bad>\S))")
 
 
 def _int_literal(digits: str, col: int) -> int:
@@ -609,60 +595,52 @@ def _int_literal(digits: str, col: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", column=col) from None
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def parse_expression(text: str) -> Expr:
+    """Parse an expression over generator names, eps, integers, *, +, -,
+    parentheses, and postfix powers g^n of a name or integer.
 
-    def peek(self):
-        return self.tokens[self.pos]
+    A `ParseError` column is the 1-based position of the offending token;
+    a missing token is placed one past the end of the text."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", column=match.start(kind) + 1)
+        tokens.append((kind, match[kind], match.start(kind) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    pos = depth = 0
 
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def expr() -> Expr:
+        nonlocal pos
+        node = term()
+        while (op := tokens[pos][1]) in ("+", "-"):
+            pos += 1
+            right = term()
+            node = AddExpr(node, right if op == "+" else NegExpr(right))
+        return node
 
-    def parse(self) -> Expr:
-        expr = self.expr()
-        kind, value, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", column=col)
-        return expr
+    def term() -> Expr:
+        nonlocal pos
+        node = factor()
+        while tokens[pos][1] == "*":
+            pos += 1
+            node = MulExpr(node, factor())
+        return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                right = self.term()
-                node = AddExpr(node, right if value == "+" else NegExpr(right))
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = MulExpr(node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        kind, value, col = self.advance()
-        if kind == "op" and value in "-(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
+    def factor() -> Expr:
+        nonlocal pos, depth
+        kind, value, col = tokens[pos]
+        pos += 1
+        if value in ("-", "("):
+            depth += 1
+            if depth > MAX_NESTING:
                 raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", column=col)
-            node = NegExpr(self.factor()) if value == "-" else self.expr()
+            node = NegExpr(factor()) if value == "-" else expr()
             if value == "(":
-                kind, value, col = self.advance()
-                if (kind, value) != ("op", ")"):
-                    raise ParseError("expected ')'", column=col)
-            self.depth -= 1
+                if tokens[pos][1] != ")":
+                    raise ParseError("expected ')'", column=tokens[pos][2])
+                pos += 1
+            depth -= 1
             return node
         if kind == "int":
             node = IntExpr(_int_literal(value, col))
@@ -670,23 +648,24 @@ class _ExprParser:
             node = NameExpr(value)
         else:
             raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", column=col)
-        if self.peek()[:2] != ("op", "^"):
+        if tokens[pos][1] != "^":
             return node
-        self.advance()
-        kind, value, col = self.advance()
+        kind, value, col = tokens[pos + 1]
+        pos += 2
         n = _int_literal(value, col) if kind == "int" else 0
         if not 1 <= n <= MAX_EXPONENT:
             raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
-        power = node
-        for _ in range(n - 1):
-            power = MulExpr(power, node)
-        return power
+        return reduce(MulExpr, [node] * (n - 1), node)
 
-
-def parse_expression(text: str) -> Expr:
-    """Parse an expression over generator names, eps, integers, *, +, -,
-    parentheses, and postfix powers g^n of a name or integer."""
-    return _ExprParser(text).parse()
+    try:
+        node = expr()
+        kind, value, col = tokens[pos]
+        if kind != "end":
+            raise ParseError(f"unexpected token {value!r}", column=col)
+        return node
+    finally:
+        # the three hold one another in closure cells: free them now, not by the cycle collector
+        del expr, term, factor
 
 
 def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element:

@@ -58,22 +58,10 @@ _PRESET_UNITS = {
 
 PRESET_NAMES = tuple(_PRESET_UNITS)
 
+# each preset by its name, as u=<unit> and as its bare unit; deligne and bernstein name two of them
 _PRESET_ALIASES = {
-    "reference": "reference",
-    "deligne": "reference",
-    "u=1": "reference",
-    "1": "reference",
-    "minus-one": "minus-one",
-    "u=-1": "minus-one",
-    "-1": "minus-one",
-    "epsilon": "epsilon",
-    "bernstein": "epsilon",
-    "u=eps": "epsilon",
-    "eps": "epsilon",
-    "minus-epsilon": "minus-epsilon",
-    "u=-eps": "minus-epsilon",
-    "-eps": "minus-epsilon",
-}
+    alias: name for name, unit in _PRESET_UNITS.items() for alias in (name, f"u={unit}", str(unit))
+} | {"deligne": "reference", "bernstein": "epsilon"}
 
 
 def convention(name: str, mode: CoefMode = GENERIC) -> Convention:

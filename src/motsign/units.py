@@ -236,9 +236,6 @@ class Bidegree:
     def __add__(self, other: "Bidegree") -> "Bidegree":
         return Bidegree(self.p + other.p, self.q + other.q)
 
-    def __neg__(self) -> "Bidegree":
-        return Bidegree(-self.p, -self.q)
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 

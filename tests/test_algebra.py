@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -225,6 +227,63 @@ def test_parse_expression_errors():
         parse_expression("2*" + "9" * 5000)  # past the integer-string digit limit
     tree = parse_expression("-2*(eta + eps*eta)")
     assert eval_expr(tree, REF, CATALOG).render(CATALOG) == "-4*eta"
+
+
+def test_parse_error_column_is_the_offending_token():
+    # 1-based, past the whitespace before the token; one past the end when
+    # the token is missing
+    messages = {
+        "eta ! nu": "unexpected character '!' (column 5)",
+        "eta + )": "unexpected token ')' (column 7)",
+        "eta  999": "unexpected token '999' (column 6)",
+        "2*eta^ x": "exponent must be an integer from 1 to 1000 (column 8)",
+        "(eta\t x": "expected ')' (column 7)",
+        "eta *  ": "unexpected end of input (column 8)",
+    }
+    for text, message in messages.items():
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert str(info.value) == message, text
+    assert parse_expression("eta ") == parse_expression(" eta") == parse_expression("eta")
+
+
+def test_parsing_leaves_no_reference_cycles():
+    # a parse, good or bad, frees what it built without the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        parse_expression("2*eta^3 + (eta - nu)*tau")
+        for text in ("2*(eta + )", "(eta", "eta ! nu"):
+            try:
+                parse_expression(text)
+            except ParseError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_parse_error_column_points_into_the_text():
+    # on random token soup, a reported token starts at its column, a bare
+    # column is a non-space character, and a missing token is past the end
+    rng = random.Random(14)
+    alphabet = ["eta", "nu", "12", "0", "+", "-", "*", "(", ")", "^", "!", "#", " ", "  ", "\t", "\n"]
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        try:
+            parse_expression(text)
+        except ParseError as exc:
+            message, column = str(exc), exc.column
+        else:
+            continue
+        at = text[column - 1 :]
+        quoted = re.search(r"(?:character|token) '(.*)' \(column", message)
+        if quoted:
+            assert at.startswith(quoted[1]), (text, message)
+        elif column <= len(text):
+            assert not at[0].isspace(), (text, message)
+        else:
+            assert column == len(text) + 1, (text, message)
 
 
 def test_transport_check_examples():
@@ -682,7 +741,7 @@ def test_basis_cache_is_bounded(monkeypatch):
 # each annihilator's expression text and its pair (a, b) for a + b*eps
 ORACLE_ANNIHILATORS = {
     "2": (2, 0), "3": (3, 0), "4": (4, 0), "6": (6, 0), "(1-eps)": (1, -1), "(1+eps)": (1, 1),
-    "(2-2*eps)": (2, -2), "(2+eps)": (2, 1), "(3-5*eps)": (3, -5), "7*eps": (0, 7),
+    "(2-2*eps)": (2, -2), "(2+eps)": (2, 1), "(3-5*eps)": (3, -5), "7*eps": (0, 7), "-7*eps": (0, -7),
 }
 ORACLE_DEGREES = [Bidegree(1, 0), Bidegree(1, 1), Bidegree(0, 1), Bidegree(2, 1), Bidegree(2, 0)]
 
@@ -745,6 +804,11 @@ def test_reduce_coef_matches_subgroup_oracle():
                     # one reduced value per coset, and one coset per value
                     reduced, cosets = zip(*classes)
                     assert len(classes) == len(set(reduced)) == len(set(cosets)), (pres.relation_strings, counts, mode)
+
+
+def test_ideal_basis_takes_a_positive_eps_coefficient():
+    # -7*eps and 7*eps generate one ideal, with one canonical basis
+    assert algebra._ideal_basis([Coef(0, -7)]) == algebra._ideal_basis([Coef(0, 7)]) == (0, 7, 7)
 
 
 # ---------- one reduction per product chain on rule-free presentations ----------

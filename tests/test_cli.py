@@ -159,6 +159,16 @@ def test_convention_file_input(tmp_path, capsys):
     assert (code, out.strip()) == (0, "-eps")
 
 
+def test_convention_file_mode_and_flags(tmp_path, capsys):
+    # the file's mode stands unless the flags name a specialization; then
+    # the flags' whole mode replaces it
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps({"name": "mine", "u": "eps", "mode": {"eps": "-1", "modulus": 0}}))
+    for flags, unit in (([], "1"), (["--mode", "generic"], "1"), (["--mode", "+1"], "-1"), (["--modulus", "2"], "eps")):
+        code, out, _ = run_cli(capsys, "commute", "--convention", str(path), *flags, "--deg-a", "0,-1", "--deg-b", "3,2")
+        assert (code, out) == (0, unit + "\n"), flags
+
+
 def test_presentation_file_input(tmp_path, capsys):
     doc = {
         "generators": [{"name": "x", "degree": [1, 1]}, {"name": "y", "degree": [3, 2]}],

@@ -8,6 +8,7 @@ from motsign import (
     CoefMode,
     Convention,
     EPS,
+    GENERIC,
     MINUS_EPS,
     MINUS_ONE,
     ModeMismatchError,
@@ -42,6 +43,17 @@ def test_presets_resolve():
     assert convention("minus-epsilon").twist == unit_twist(MINUS_EPS)
     assert convention("u=-1").name == "minus-one"
     assert convention("u=eps").name == "epsilon"
+    aliases = {
+        "reference": ["reference", "deligne", "u=1", "1"],
+        "minus-one": ["minus-one", "u=-1", "-1"],
+        "epsilon": ["epsilon", "bernstein", "u=eps", "eps"],
+        "minus-epsilon": ["minus-epsilon", "u=-eps", "-eps"],
+    }
+    assert sum(map(len, aliases.values())) == 14
+    for name, unit in zip(aliases, (ONE, MINUS_ONE, EPS, MINUS_EPS)):
+        for alias in aliases[name]:
+            assert convention(alias) == Convention(name, unit_twist(unit), GENERIC), alias
+            assert convention(f" {alias.upper()} ").name == name
     with pytest.raises(ParseError):
         convention("koszul")
 
