@@ -8,7 +8,7 @@ reference commutation unit of every inverted letter pair; that unit is an
 F2 bilinear form in the two degrees, so a pair of words is charged through
 the parity of each generator's count: XOR masks over the words, tabulated
 per presentation, and one popcount per sign bit.  A convention's twist
-enters once per factor pair.
+enters once per factor pair, or once per letter of a run of generators.
 
 Coefficients of a monomial are reduced modulo its annihilator ideal, which
 is generated by the mode's modulus and by each annihilator below together
@@ -25,7 +25,8 @@ elements are evaluated under a specialized mode, so an eps-torsion
 relation never silently turns into integer torsion.  Relations with a
 unit leading coefficient are instead applied as rewrite rules, replacing
 the leading monomial by the negated tail until a fixed point.  Without
-rules, a product chain is reduced once, at its end (see `_product`).
+rules, a product chain is reduced once, at its end, and a run of generators
+in it is one word: one parity-mask pass and one sort per term (`_product`).
 """
 
 from __future__ import annotations
@@ -478,16 +479,21 @@ def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -
 
 def _product(factors: Iterable["Element | int"], conv: Convention, pres: Presentation) -> Element:
     """Left fold of the product over the factors, in order, an int standing
-    for that generator.  Without rewrite rules, raw terms are folded and
-    assembled once, at the end: exact, since a word's annihilator ideal lies
-    in that of each multiple of it and `specialize` is a ring homomorphism.
-    With rules, each factor and partial product is assembled for rewriting."""
+    for that generator.  Without rewrite rules, raw terms are folded, each
+    run of generators as one word (`_times_word`), and assembled once at
+    the end: exact, since a word's annihilator ideal lies in that of each
+    multiple of it and `specialize` is a ring homomorphism.  With rules,
+    each factor and partial product is assembled for rewriting."""
     deferred = not pres._rules
-    x = None
+    x, run = None, []
     for y in factors:
         if type(y) is int:  # a generator
-            raw, degree = {(y,): Coef(1)}, pres._degrees[y]
-            y = Element(tuple(raw.items()), degree) if deferred else _assemble(raw, degree, conv, pres)
+            if deferred:
+                run.append(y)
+                continue
+            y = _assemble({(y,): Coef(1)}, pres._degrees[y], conv, pres)
+        if run:
+            x, run = _times_word(x, run, conv, pres), []
         if x is None or x.is_zero or y.is_zero:
             x = y if x is None else ZERO  # later factors are still evaluated, errors and all
             continue
@@ -499,7 +505,36 @@ def _product(factors: Iterable["Element | int"], conv: Convention, pres: Present
                 raw[merged] = raw[merged] + coef if merged in raw else coef
         degree = x.degree + y.degree
         x = Element(tuple(raw.items()), degree) if deferred else _assemble(raw, degree, conv, pres)
+    if run:
+        x = _times_word(x, run, conv, pres)
     return _assemble(dict(x.terms), x.degree, conv, pres) if deferred and x.terms else x
+
+
+def _times_word(x: Element | None, run: list[int], conv: Convention, pres: Presentation) -> Element:
+    """Raw terms of x (None: the empty word) times the run's generators in
+    order.  The twist is bilinear, so the run's is each letter's against the
+    degree before it.  Sorting m1 + run charges the reference unit of the
+    pairs inside the run once, in one pass with a running parity mask, and
+    of the pairs across per term, by the run's XOR masks as in
+    `_merge_words`.  Distinct m1 give distinct words: no two terms meet."""
+    if x is not None and x.is_zero:
+        return ZERO
+    terms, degree = (x.terms, x.degree) if x is not None else ((((), Coef(1)),), Bidegree(0, 0))
+    s = t = odd = 0
+    for g in run:
+        d = pres._degrees[g]
+        twist = conv.twist(degree, d)
+        s += twist.s + (pres._s_above[g] & odd).bit_count()
+        t += twist.t + (pres._t_above[g] & odd).bit_count()
+        odd ^= pres._bits[g]
+        degree += d
+    s_run, t_run, word = _xor_over(pres._s_above, run), _xor_over(pres._t_above, run), tuple(sorted(run))
+    raw = []
+    for m1, c1 in terms:
+        odd = _xor_over(pres._bits, m1)
+        coef = _signed(c1, s + (s_run & odd).bit_count(), t + (t_run & odd).bit_count())
+        raw.append((tuple(sorted(m1 + word)), coef))
+    return Element(tuple(raw), degree)
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:
@@ -584,8 +619,10 @@ class AddExpr(Expr):
     right: Expr
 
 
-# an operator token is known by its text alone; bad is any stray character
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^])|(?P<bad>\S))")
+# an operator token is known by its text alone; bad is any stray character, non-ASCII ones too
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^])|(?P<bad>\S))", re.ASCII
+)
 
 
 def _int_literal(digits: str, col: int) -> int:

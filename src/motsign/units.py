@@ -206,7 +206,7 @@ def is_unit_coef(c: Coef, mode: CoefMode = GENERIC) -> bool:
 
 
 _COEF_RE = re.compile(
-    r"^(?P<int>[+-]?\d+)?(?P<eps>(?P<sign>[+-])?(?:(?P<mag>\d+)\*)?eps)?$"
+    r"^(?P<int>[+-]?\d+)?(?P<eps>(?P<sign>[+-])?(?:(?P<mag>\d+)\*)?eps)?$", re.ASCII
 )
 
 
@@ -241,12 +241,12 @@ class Bidegree:
 
 
 def parse_bidegree(text: str) -> Bidegree:
-    """Parse "p,q" (parentheses optional) into a bidegree."""
-    compact = text.strip().removeprefix("(").removesuffix(")")
-    parts = compact.split(",")
-    if len(parts) != 2:
+    """Parse "p,q" (parentheses optional) into a bidegree; each coordinate
+    is an optional sign and ASCII digits, with ASCII whitespace around it."""
+    m = re.fullmatch(r"\s*\(?\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)?\s*", text, re.ASCII)
+    if m is None:
         raise ParseError(f"not a bidegree: {text!r}")
     try:
-        return Bidegree(int(parts[0]), int(parts[1]))
-    except ValueError:
+        return Bidegree(int(m[1]), int(m[2]))
+    except ValueError:  # past the interpreter's integer-string digit limit
         raise ParseError(f"not a bidegree: {text!r}") from None

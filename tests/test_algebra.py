@@ -11,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from motsign import (
     Bidegree,
+    BilinearCocycle,
     Coef,
     CoefMode,
+    Convention,
     EPS,
     Element,
     Generator,
     InhomogeneousError,
+    MINUS_EPS,
     MINUS_ONE,
     ModeMismatchError,
     MotsignError,
@@ -239,6 +242,9 @@ def test_parse_error_column_is_the_offending_token():
         "2*eta^ x": "exponent must be an integer from 1 to 1000 (column 8)",
         "(eta\t x": "expected ')' (column 7)",
         "eta *  ": "unexpected end of input (column 8)",
+        # digits and whitespace are ASCII only
+        "\u0663*eta": "unexpected character '\u0663' (column 1)",
+        "eta\u3000*nu": "unexpected character '\\u3000' (column 4)",
     }
     for text, message in messages.items():
         with pytest.raises(ParseError) as info:
@@ -984,6 +990,39 @@ def test_long_flat_product_matches_pairwise_fold():
     for mode in (CoefMode(), CoefMode("-1", 6)):
         conv = convention("minus-epsilon", mode)
         assert eval_expr(expr, conv, pres) == _pairwise_eval(expr, conv, pres)
+
+
+def test_long_generator_run_matches_pairwise_fold():
+    # one run of 600 generators, alone and after a left factor of two terms
+    # whose words carry an odd weight, so that cross pairs charge eps
+    rng = random.Random(71)
+    letters = [rng.randrange(len(CATALOG.generators)) for _ in range(600)]
+    run = "*".join(CATALOG.generators[i].name for i in letters)
+    left = "(tau*eta_top + eps*tau*tau0)"
+    for preset in PRESETS:
+        for mode in ALL_MODES[::4]:
+            conv = convention(preset.name, mode)
+            for text in (run, f"{left}*{run}"):
+                expr = parse_expression(text)
+                assert eval_expr(expr, conv, CATALOG) == _pairwise_eval(expr, conv, CATALOG), (text[:30], conv)
+    # repeated letters leave few signs standing after reduction, so the raw
+    # terms of runs of several lengths are compared against a letter-by-letter
+    # fold too, under a twist with four distinct entries as well
+    mixed = Convention("mixed", BilinearCocycle(MINUS_ONE, EPS, MINUS_EPS, ONE))
+    for conv in [*PRESETS, mixed]:
+        x = eval_expr(left, conv, CATALOG)
+        assert len(x.terms) == 2
+        want = dict(x.terms)
+        for k, i in enumerate(letters, 1):
+            twist = conv.twist(CATALOG.monomial_degree(next(iter(want))), CATALOG._degrees[i])
+            merged = [algebra._merge_words(m, (i,), CATALOG) + (c,) for m, c in want.items()]
+            want = {m: c * (twist * pen).to_coef() for m, pen, c in merged}
+            if k in (1, 2, 7, 30, 301, 600):
+                got = algebra._times_word(x, letters[:k], conv, CATALOG)
+                assert dict(got.terms) == want, (conv.name, k)
+                assert got.degree == CATALOG.monomial_degree(next(iter(want)))
+    flat = eval_expr("*".join(["eta_top"] * 3000), EPS_CONV, CATALOG)
+    assert flat.render(CATALOG) == f"eta_top^{MAX_EXPONENT}*eta_top^{MAX_EXPONENT}*eta_top^{MAX_EXPONENT}"
 
 
 def test_factors_after_a_zero_are_still_evaluated():

@@ -240,6 +240,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "commute", "--convention", "u=1", "--deg-a", "zero", "--deg-b", "1,1")
     assert code == 2
+    # not read as 10, nor an Arabic-Indic digit as 3
+    for deg in ("1_0,2", "\u0663,1"):
+        code, out, err = run_cli(capsys, "commute", "--convention", "u=1", "--deg-a", deg, "--deg-b", "1,1")
+        assert (code, out) == (2, "") and "not a bidegree" in err
+    code, out, err = run_cli(capsys, "eval", "\u0663*eta")
+    assert (code, out, err) == (2, "", "error: unexpected character '\u0663' (column 1)\n")
     code, _, err = run_cli(capsys, "eval", "--pres", "catalog", "eta +")
     assert code == 2
     code, _, err = run_cli(capsys, "classes", "--units", "su2")

@@ -148,6 +148,8 @@ def test_coef_render_parse_roundtrip():
         parse_coef("1eps")
     with pytest.raises(ParseError):
         parse_coef("9" * 5000 + "+eps")  # past the integer-string digit limit
+    with pytest.raises(ParseError):
+        parse_coef("\u0663")  # an Arabic-Indic three: digits are ASCII only
 
 
 def test_bidegree_arithmetic_and_parse():
@@ -155,8 +157,11 @@ def test_bidegree_arithmetic_and_parse():
     assert Bidegree(0, 0) + Bidegree(4, -1) == Bidegree(4, -1)
     assert parse_bidegree("3,2") == Bidegree(3, 2)
     assert parse_bidegree("(0,-1)") == Bidegree(0, -1)
-    with pytest.raises(ParseError):
-        parse_bidegree("3")
+    assert parse_bidegree(" +3 , -1 ") == Bidegree(3, -1)
+    # each coordinate is a sign and ASCII digits, not whatever int() reads
+    for bad in ("3", "1_0,2", "\u0663,1", "3,1\u3000", "9" * 5000 + ",1"):
+        with pytest.raises(ParseError):
+            parse_bidegree(bad)
 
 
 def _made(unit, s: int, t: int) -> None:
