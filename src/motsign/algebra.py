@@ -8,7 +8,8 @@ reference commutation unit of every inverted letter pair; that unit is an
 F2 bilinear form in the two degrees, so a pair of words is charged through
 the parity of each generator's count: XOR masks over the words, tabulated
 per presentation, and one popcount per sign bit.  A convention's twist
-enters once per factor pair, or once per letter of a run of generators.
+enters once per factor pair; along a run of generators it joins that unit
+in one pair of F2 columns per convention, at one cocycle call per run.
 
 Coefficients of a monomial are reduced modulo its annihilator ideal, which
 is generated by the mode's modulus and by each annihilator below together
@@ -41,6 +42,7 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, Sequence
 
+from .cocycles import BilinearCocycle
 from .conventions import Convention, base_commutation, commutation_unit, convention
 from .errors import (
     InhomogeneousError,
@@ -97,7 +99,7 @@ MAX_EXPONENT = 1000  # largest n in a postfix power g^n
 
 Monomial = tuple[int, ...]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED_NAMES = frozenset({"eps"})
 
 
@@ -271,7 +273,7 @@ class Presentation:
         gens = tuple(generators)
         seen: set[str] = set()
         for gen in gens:
-            if not _NAME_RE.match(gen.name):
+            if not _NAME_RE.fullmatch(gen.name):
                 raise MotsignError(f"bad generator name: {gen.name!r}")
             if gen.name in _RESERVED_NAMES:
                 raise MotsignError(f"generator name {gen.name!r} is reserved")
@@ -300,6 +302,7 @@ class Presentation:
         self._ann_entries: list[tuple[Monomial, Coef]] = []
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
+        self._twist_cache: dict = {}  # _twist_columns; the relations' products below read it too
         # relations are read as written, each on its own: no annihilator
         # reduction (the commutation law alone would turn (1-eps)*eta*eta
         # into zero) and no rewriting, since no rule exists until all are read
@@ -345,6 +348,22 @@ class Presentation:
             raise MotsignError(
                 "unsupported relation: need a unit leading coefficient or a single annihilator term"
             )
+
+    def _twist_columns(self, twist: BilinearCocycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Columns (s_col, t_col) of a run's sign under the twist: bit i of
+        s_col[g] is the s bit of B(d_i, d_g) for i > g (see _merge_words)
+        XOR that of twist(d_i, d_g) for every i, as the twist is charged by
+        position; likewise t.  Cached per cocycle: there are 4^4 of them."""
+        cols = self._twist_cache.get(twist)
+        if cols is None:
+            s_col, t_col = list(self._s_above), list(self._t_above)
+            for g, d in enumerate(self._degrees):
+                for i, e in enumerate(self._degrees):
+                    unit = twist(e, d)
+                    s_col[g] ^= unit.s << i
+                    t_col[g] ^= unit.t << i
+            cols = self._twist_cache[twist] = (tuple(s_col), tuple(t_col))
+        return cols
 
     def index(self, name: str) -> int:
         try:
@@ -512,29 +531,29 @@ def _product(factors: Iterable["Element | int"], conv: Convention, pres: Present
 
 def _times_word(x: Element | None, run: list[int], conv: Convention, pres: Presentation) -> Element:
     """Raw terms of x (None: the empty word) times the run's generators in
-    order.  The twist is bilinear, so the run's is each letter's against the
-    degree before it.  Sorting m1 + run charges the reference unit of the
-    pairs inside the run once, in one pass with a running parity mask, and
-    of the pairs across per term, by the run's XOR masks as in
-    `_merge_words`.  Distinct m1 give distinct words: no two terms meet."""
+    order.  The twist is bilinear: the left factor's is one call against the
+    run's degree, and each letter's against the letters before it is, with
+    the reference unit of the run's own inverted pairs, a popcount of its
+    twist columns against a running parity mask.  The pairs across are
+    charged per term, by the run's XOR masks as in `_merge_words`.  Distinct
+    m1 give distinct words: no two terms meet."""
     if x is not None and x.is_zero:
         return ZERO
     terms, degree = (x.terms, x.degree) if x is not None else ((((), Coef(1)),), Bidegree(0, 0))
-    s = t = odd = 0
+    (s_col, t_col), run_degree = pres._twist_columns(conv.twist), pres.monomial_degree(run)
+    twist, odd = conv.twist(degree, run_degree), 0
+    s, t = twist.s, twist.t
     for g in run:
-        d = pres._degrees[g]
-        twist = conv.twist(degree, d)
-        s += twist.s + (pres._s_above[g] & odd).bit_count()
-        t += twist.t + (pres._t_above[g] & odd).bit_count()
+        s += (s_col[g] & odd).bit_count()
+        t += (t_col[g] & odd).bit_count()
         odd ^= pres._bits[g]
-        degree += d
     s_run, t_run, word = _xor_over(pres._s_above, run), _xor_over(pres._t_above, run), tuple(sorted(run))
     raw = []
     for m1, c1 in terms:
         odd = _xor_over(pres._bits, m1)
         coef = _signed(c1, s + (s_run & odd).bit_count(), t + (t_run & odd).bit_count())
         raw.append((tuple(sorted(m1 + word)), coef))
-    return Element(tuple(raw), degree)
+    return Element(tuple(raw), degree + run_degree)
 
 
 def multiply(x: Element, y: Element, conv: Convention, pres: Presentation) -> Element:

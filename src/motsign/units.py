@@ -205,15 +205,13 @@ def is_unit_coef(c: Coef, mode: CoefMode = GENERIC) -> bool:
     return math.gcd(det, mode.modulus) == 1
 
 
-_COEF_RE = re.compile(
-    r"^(?P<int>[+-]?\d+)?(?P<eps>(?P<sign>[+-])?(?:(?P<mag>\d+)\*)?eps)?$", re.ASCII
-)
+_COEF_RE = re.compile(r"(?P<int>[+-]?\d+)?(?P<eps>(?P<sign>[+-])?(?:(?P<mag>\d+)\*)?eps)?", re.ASCII)
 
 
 def parse_coef(text: str) -> Coef:
     """Parse "a", "b*eps", "a+b*eps" style coefficient strings."""
     compact = text.replace(" ", "")
-    m = _COEF_RE.match(compact)
+    m = _COEF_RE.fullmatch(compact)
     if not m or (m.group("int") is None and m.group("eps") is None):
         raise ParseError(f"not a coefficient: {text!r}")
     if m.group("int") is not None and m.group("eps") is not None and m.group("sign") is None:

@@ -48,6 +48,7 @@ from motsign import (
     transport_check,
     universal_presentation,
 )
+from motsign.units import UNITS
 from motsign import algebra
 from motsign.algebra import MAX_EXPONENT, MAX_NESTING
 
@@ -1033,3 +1034,108 @@ def test_factors_after_a_zero_are_still_evaluated():
         eval_expr("a*3*2*nosuch", REF, KILLED)  # a product that is zero at its end
     with pytest.raises(InhomogeneousError):
         eval_expr("0*(eta + nu)", REF, CATALOG)
+
+
+# ---------- user-named presentations render and parse back ----------
+
+
+def test_a_trailing_newline_is_not_part_of_a_name():
+    # "eta\n" would render as 'eta\n^2', which no expression can name
+    with pytest.raises(MotsignError, match="bad generator name"):
+        Presentation([Generator("eta\n", Bidegree(1, 1))])
+    with pytest.raises(MotsignError, match="bad generator name"):
+        presentation_from_json({"generators": [{"name": "eta\n", "degree": [1, 1]}]})
+
+
+USER_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).filter(lambda name: name != "eps")
+NON_UNIT_COEFS = ["2", "3", "4", "6", "(1-eps)", "(1+eps)", "(2-2*eps)", "(2+eps)"]
+
+
+@st.composite
+def _user_presentations(draw):
+    """Rule-free presentations built from JSON documents: random names,
+    degrees with negative entries, and random annihilator relations."""
+    names = draw(st.lists(USER_NAMES, min_size=1, max_size=4, unique=True))
+    degree = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+    word = st.lists(st.sampled_from(names), min_size=1, max_size=3).map("*".join)
+    relations = draw(st.lists(st.tuples(st.sampled_from(NON_UNIT_COEFS), word).map("*".join), max_size=3))
+    doc = {"generators": [{"name": name, "degree": draw(degree)} for name in names], "relations": relations}
+    pres = presentation_from_json(doc)
+    assert not pres._rules and presentation_to_json(pres) == doc
+    return pres
+
+
+@settings(deadline=None, max_examples=60)
+@given(_user_presentations(), st.data())
+def test_user_named_elements_parse_back(pres, data):
+    # permutations of one word share its degree, so the sum is homogeneous
+    base = data.draw(st.lists(st.sampled_from([gen.name for gen in pres.generators]), min_size=1, max_size=5))
+    summands = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        summands.append(f"({a}+{b}*eps)*" + "*".join(data.draw(st.permutations(base))))
+    text = " + ".join(summands)
+    for preset in PRESETS:
+        for mode in ROUNDTRIP_MODES:
+            x = eval_expr(text, convention(preset.name, mode), pres)
+            assert eval_expr(x.render(pres), convention("reference", mode), pres) == x, (text, preset.name, mode)
+
+
+def _spoiled(name, char, at):
+    at %= len(name) + 1
+    return name[:at] + char + name[at:]
+
+
+# whitespace, a newline and non-ASCII letters spoil a name anywhere in it
+SPOILERS = [" ", "\t", "\n", "\r", "\u00a0", "é", "ß", "λ", "Ω"]
+BAD_NAMES = st.one_of(st.just("eps"), st.builds(_spoiled, USER_NAMES, st.sampled_from(SPOILERS), st.integers(0, 8)))
+
+
+@settings(deadline=None)
+@given(BAD_NAMES, st.lists(USER_NAMES, max_size=2, unique=True), st.integers(0, 2))
+def test_user_presentations_refuse_names_that_cannot_parse_back(bad, names, at):
+    names.insert(at % (len(names) + 1), bad)
+    doc = {"generators": [{"name": name, "degree": [1, 0]} for name in names]}
+    with pytest.raises(MotsignError, match="bad generator name|is reserved"):
+        presentation_from_json(doc)
+
+
+# ---------- a run's twist from per-convention F2 columns ----------
+
+ALL_COCYCLES = [BilinearCocycle(*entries) for entries in itertools.product(UNITS, repeat=4)]
+
+
+def test_twist_columns_match_brute_force():
+    # bit i of column g: the reference unit sorting g under i > g, and the
+    # twist of every earlier letter i against g, whatever their order
+    for pres in [CATALOG, *RULE_FREE]:
+        degrees = pres._degrees
+        for twist in ALL_COCYCLES:
+            s_col, t_col = pres._twist_columns(twist)
+            for g, d in enumerate(degrees):
+                for i, e in enumerate(degrees):
+                    unit = twist(e, d) * (base_commutation(e, d) if i > g else ONE)
+                    assert (s_col[g] >> i & 1, t_col[g] >> i & 1) == (unit.s, unit.t), (twist, i, g)
+        assert len(pres._twist_cache) == len(ALL_COCYCLES) == 256  # one entry per cocycle, bounded
+
+
+def test_run_twist_matches_pairwise_fold_under_sampled_cocycles():
+    rng = random.Random(79)
+    presets = {preset.twist for preset in PRESETS}
+    twists = [twist for twist in rng.sample(ALL_COCYCLES, 16) if twist not in presets]
+    assert sum(twist.m12 != twist.m21 for twist in twists) >= 4
+    outcomes = Counter()
+    for pres in [CATALOG, *RULE_FREE]:
+        names = [gen.name for gen in pres.generators]
+        for mode in ALL_MODES:
+            conv = Convention("sampled", rng.choice(twists), mode)
+            texts = [_random_text(rng, names) for _ in range(4)]
+            # a long run alone and after a left factor of nonzero degree
+            run = "*".join(rng.choice(names) for _ in range(rng.randint(20, 60)))
+            left = "*".join(rng.choice(names) for _ in range(rng.randint(1, 3)))
+            texts += [run, f"-({left})*{run}", f"(eps*{left} + 2*{left})*{run}"]
+            for text in texts:
+                want = _outcome(_pairwise_eval, parse_expression(text), conv, pres)
+                assert _outcome(eval_expr, text, conv, pres) == want, (text, conv)
+                outcomes["error" if isinstance(want, tuple) else "zero" if want == ZERO else "nonzero"] += 1
+    assert outcomes["nonzero"] > 300 and outcomes["zero"] > 300 and outcomes["error"] > 10

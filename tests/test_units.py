@@ -152,6 +152,13 @@ def test_coef_render_parse_roundtrip():
         parse_coef("\u0663")  # an Arabic-Indic three: digits are ASCII only
 
 
+def test_coef_with_a_trailing_newline_is_refused():
+    # the whole text must be a coefficient: a trailing newline is not skipped
+    for text in ("1\n", "2*eps\n", "1-eps\n"):
+        with pytest.raises(ParseError, match="not a coefficient"):
+            parse_coef(text)
+
+
 def test_bidegree_arithmetic_and_parse():
     assert Bidegree(1, 2) + Bidegree(-3, 5) == Bidegree(-2, 7)
     assert Bidegree(0, 0) + Bidegree(4, -1) == Bidegree(4, -1)
