@@ -283,6 +283,7 @@ class Presentation:
         self.generators = gens
         self._index = {gen.name: i for i, gen in enumerate(gens)}
         self._degrees = degrees = tuple(gen.degree for gen in gens)
+        self._p, self._q = tuple(d.p for d in degrees), tuple(d.q for d in degrees)
         # The reference commutation unit as an F2 bilinear form: bit i of
         # _s_above[j] (_t_above[j]) is the s (t) bit of B(d_i, d_j) for
         # i > j, and _bits[i] = 1 << i; see _merge_words.  The diagonal
@@ -372,7 +373,7 @@ class Presentation:
             raise MotsignError(f"unknown generator: {name!r}") from None
 
     def monomial_degree(self, monomial: Monomial) -> Bidegree:
-        return Bidegree(sum(self._degrees[i].p for i in monomial), sum(self._degrees[i].q for i in monomial))
+        return Bidegree(sum(map(self._p.__getitem__, monomial)), sum(map(self._q.__getitem__, monomial)))
 
     def eps_annihilated_generators(self) -> frozenset[str]:
         """Names g with a declared relation (1 - eps) * g = 0."""

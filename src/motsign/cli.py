@@ -57,9 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 _MODE = (
-    ("--mode", dict(default="generic", choices=("generic", "+1", "-1"),
+    # None marks an absent flag, so that a convention file's own mode is
+    # replaced only when --mode or --modulus is given
+    ("--mode", dict(choices=("generic", "+1", "-1"),
                     help="image of eps in the coefficients (default generic)")),
-    ("--modulus", dict(type=int, default=0, help="coefficient modulus, 0 = none")),
+    ("--modulus", dict(type=int, help="coefficient modulus, 0 = none")),
 )
 _FROM_TO = (("--from", dict(dest="conv_from", required=True)), ("--to", dict(dest="conv_to", required=True)))
 
@@ -116,17 +118,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_convention(token: str, mode: CoefMode) -> Convention:
+def _mode(args: argparse.Namespace) -> CoefMode | None:
+    """The flags' whole mode, an absent flag read as generic or 0; None
+    when neither --mode nor --modulus is given."""
+    if args.mode is None and args.modulus is None:
+        return None
+    return CoefMode(args.mode or "generic", args.modulus or 0)
+
+
+def _resolve_convention(token: str, mode: CoefMode | None) -> Convention:
     # presets and aliases win, so a file named like a preset never shadows it
     try:
-        return convention(token, mode)
+        return convention(token, mode or CoefMode())
     except ParseError:
         if not (os.path.exists(token) or token.endswith(".json")):
             raise
     with open(token, encoding="utf-8") as handle:
         doc = json.load(handle)
     conv = convention_from_json(doc)
-    if conv.mode != mode and (mode.eps != "generic" or mode.modulus):
+    if mode is not None and conv.mode != mode:
         conv = Convention(conv.name, conv.twist, mode)
     return conv
 
@@ -159,7 +169,7 @@ def _grid(args: argparse.Namespace) -> range:
 
 
 def _cmd_commute(args: argparse.Namespace) -> dict:
-    conv = _resolve_convention(args.convention, CoefMode(args.mode, args.modulus))
+    conv = _resolve_convention(args.convention, _mode(args))
     deg_a = parse_bidegree(args.deg_a)
     deg_b = parse_bidegree(args.deg_b)
     return {
@@ -196,7 +206,7 @@ def _cmd_cocycle_class(args: argparse.Namespace) -> dict:
 
 
 def _cmd_cocycle_ratio(args: argparse.Namespace) -> dict:
-    mode = CoefMode(args.mode, args.modulus)
+    mode = _mode(args)
     conv_from = _resolve_convention(args.conv_from, mode)
     conv_to = _resolve_convention(args.conv_to, mode)
     ratio = twist_ratio(conv_from, conv_to)
@@ -216,7 +226,7 @@ def _cmd_classes(args: argparse.Namespace) -> dict:
 
 
 def _cmd_eval(args: argparse.Namespace) -> dict:
-    conv = _resolve_convention(args.convention, CoefMode(args.mode, args.modulus))
+    conv = _resolve_convention(args.convention, _mode(args))
     pres = _resolve_presentation(args.pres)
     element = eval_expr(args.expr, conv, pres)
     return {
@@ -230,7 +240,7 @@ def _cmd_eval(args: argparse.Namespace) -> dict:
 
 
 def _cmd_transport(args: argparse.Namespace) -> dict:
-    mode = CoefMode(args.mode, args.modulus)
+    mode = _mode(args)
     conv_from = _resolve_convention(args.conv_from, mode)
     conv_to = _resolve_convention(args.conv_to, mode)
     pres = _resolve_presentation(args.pres)
@@ -252,7 +262,7 @@ def _cmd_realize(args: argparse.Namespace) -> dict:
     if args.convention is None:
         convs = [convention(name) for name in PRESET_NAMES]
     else:
-        convs = [_resolve_convention(args.convention, CoefMode())]
+        convs = [_resolve_convention(args.convention, None)]
     grid = _grid(args)
     rows = []
     for conv in convs:
@@ -271,14 +281,14 @@ def _cmd_sensitivity(args: argparse.Namespace) -> dict:
 def _cmd_scan(args: argparse.Namespace) -> dict:
     if args.table == "sample":
         rows = scan.load_sample_table()
+        count, violations = len(rows), scan.check_conjecture(rows)
     else:
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if args.table.endswith(".json") else "csv"
         with open(args.table, encoding="utf-8") as handle:
-            rows = scan.parse_table(handle.read(), fmt)
-    violations = scan.check_conjecture(rows)
-    return {"command": "scan", "rows": len(rows), "violations": [asdict(row) for row in violations]}
+            count, violations = scan.scan_table(handle.read(), fmt)
+    return {"command": "scan", "rows": count, "violations": [asdict(row) for row in violations]}
 
 
 # ---------- the text, rendered from the record alone ----------

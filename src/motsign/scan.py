@@ -14,12 +14,14 @@ import io
 import json
 from dataclasses import asdict, dataclass
 from importlib import resources
+from typing import Iterator
 
 from .errors import DuplicateKeyError, ParseError
 
 __all__ = [
     "GroupTableRow",
     "parse_table",
+    "scan_table",
     "render_table",
     "check_conjecture",
     "load_sample_table",
@@ -37,78 +39,83 @@ class GroupTableRow:
     source: str
 
 
-def _check_duplicates(rows: list[GroupTableRow]) -> None:
+def _records(text: str, format: str) -> Iterator[tuple[str, int, int, bool, str]]:
+    """Validated (name, stem, weight, eps_nonzero, source) tuples of a CSV
+    table or a JSON array of row objects, in table order.  The first
+    repeated (stem, weight, name) key is raised only once the whole table
+    has parsed, so a malformed row anywhere in the table wins over it."""
+    if format == "csv":
+        entries = enumerate(csv.reader(io.StringIO(text)), start=1)
+    elif format == "json":
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        if not isinstance(doc, list):
+            raise ParseError("expected a JSON array of row objects")
+        entries = enumerate(doc)
+    else:
+        raise ParseError(f"unknown table format: {format!r}")
+    is_csv = format == "csv"
     seen: set[tuple[int, int, str]] = set()
-    for row in rows:
-        key = (row.stem, row.weight, row.name)
+    repeated = None
+    for idx, entry in entries:
+        if is_csv:  # idx is the line number
+            if not entry:
+                continue
+            if len(entry) != len(_CSV_COLUMNS):
+                raise ParseError(f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(entry)}", line=idx)
+            name, stem_text, weight_text, flag, source = map(str.strip, entry)
+            try:
+                stem, weight = int(stem_text), int(weight_text)
+            except ValueError:
+                raise ParseError(
+                    f"stem and weight must be integers, got {stem_text!r}, {weight_text!r}", line=idx
+                ) from None
+            if flag not in ("0", "1"):
+                raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=idx)
+            eps_nonzero = flag == "1"
+        else:
+            if not isinstance(entry, dict):
+                raise ParseError(f"row {idx} is not an object")
+            try:
+                name, stem, weight, flag, source = (entry[field] for field in _CSV_COLUMNS)
+            except KeyError as missing:
+                raise ParseError(f"row {idx} missing field {missing}") from None
+            # the CSV rules: bool is an int subclass, so true/false pass the
+            # eps_nonzero test and fail the stem/weight one
+            if not isinstance(name, str) or not isinstance(source, str):
+                raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
+            if type(stem) is not int or type(weight) is not int:
+                raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
+            if not isinstance(flag, int) or flag not in (0, 1):
+                raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {flag!r}")
+            eps_nonzero = bool(flag)
+        key = (stem, weight, name)
         if key in seen:
-            raise DuplicateKeyError(
-                f"duplicate row key (stem={row.stem}, weight={row.weight}, name={row.name!r})"
-            )
+            repeated = repeated or key
         seen.add(key)
-
-
-def _parse_csv(text: str) -> list[GroupTableRow]:
-    rows = []
-    reader = csv.reader(io.StringIO(text))
-    for line_no, record in enumerate(reader, start=1):
-        if not record:
-            continue
-        if len(record) != len(_CSV_COLUMNS):
-            raise ParseError(
-                f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(record)}",
-                line=line_no,
-            )
-        name, stem, weight, eps_nonzero, source = (field.strip() for field in record)
-        try:
-            stem_val = int(stem)
-            weight_val = int(weight)
-        except ValueError:
-            raise ParseError(f"stem and weight must be integers, got {stem!r}, {weight!r}", line=line_no) from None
-        if eps_nonzero not in ("0", "1"):
-            raise ParseError(f"eps_nonzero must be 0 or 1, got {eps_nonzero!r}", line=line_no)
-        rows.append(GroupTableRow(name, stem_val, weight_val, eps_nonzero == "1", source))
-    return rows
-
-
-def _parse_json(text: str) -> list[GroupTableRow]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(doc, list):
-        raise ParseError("expected a JSON array of row objects")
-    rows = []
-    for idx, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ParseError(f"row {idx} is not an object")
-        try:
-            name, stem, weight, eps_nonzero, source = (entry[key] for key in _CSV_COLUMNS)
-        except KeyError as missing:
-            raise ParseError(f"row {idx} missing field {missing}") from None
-        # the CSV rules: bool is an int subclass, so true/false pass the
-        # eps_nonzero test and fail the stem/weight one
-        if not isinstance(name, str) or not isinstance(source, str):
-            raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
-        if type(stem) is not int or type(weight) is not int:
-            raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
-        if not isinstance(eps_nonzero, int) or eps_nonzero not in (0, 1):
-            raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {eps_nonzero!r}")
-        rows.append(GroupTableRow(name, stem, weight, bool(eps_nonzero), source))
-    return rows
+        yield name, stem, weight, eps_nonzero, source
+    if repeated:
+        stem, weight, name = repeated
+        raise DuplicateKeyError(f"duplicate row key (stem={stem}, weight={weight}, name={name!r})")
 
 
 def parse_table(text: str, format: str = "csv") -> list[GroupTableRow]:
     """Parse CSV (columns name, stem, weight, eps_nonzero, source) or a
     JSON array of row objects; rejects malformed and duplicate rows."""
-    if format == "csv":
-        rows = _parse_csv(text)
-    elif format == "json":
-        rows = _parse_json(text)
-    else:
-        raise ParseError(f"unknown table format: {format!r}")
-    _check_duplicates(rows)
-    return rows
+    return [GroupTableRow(*record) for record in _records(text, format)]
+
+
+def scan_table(text: str, format: str = "csv") -> tuple[int, list[GroupTableRow]]:
+    """The row count and check_conjecture of a table, as parse_table would
+    give them, with a GroupTableRow built only for each violating row."""
+    count = 0
+    violations = []
+    for count, record in enumerate(_records(text, format), start=1):
+        if record[3] and record[2] % 2:
+            violations.append(GroupTableRow(*record))
+    return count, check_conjecture(violations)
 
 
 def render_table(rows: list[GroupTableRow], format: str = "csv") -> str:

@@ -160,13 +160,28 @@ def test_convention_file_input(tmp_path, capsys):
 
 
 def test_convention_file_mode_and_flags(tmp_path, capsys):
-    # the file's mode stands unless the flags name a specialization; then
-    # the flags' whole mode replaces it
+    # the file's mode stands unless --mode or --modulus is given; then the
+    # flags' whole mode replaces it, an absent flag read as generic or 0
     path = tmp_path / "conv.json"
     path.write_text(json.dumps({"name": "mine", "u": "eps", "mode": {"eps": "-1", "modulus": 0}}))
-    for flags, unit in (([], "1"), (["--mode", "generic"], "1"), (["--mode", "+1"], "-1"), (["--modulus", "2"], "eps")):
+    for flags, unit in (([], "1"), (["--mode", "generic"], "-eps"), (["--mode", "+1"], "-1"), (["--modulus", "2"], "eps")):
         code, out, _ = run_cli(capsys, "commute", "--convention", str(path), *flags, "--deg-a", "0,-1", "--deg-b", "3,2")
         assert (code, out) == (0, unit + "\n"), flags
+
+
+def test_generic_flags_replace_a_convention_file_mode(tmp_path, capsys):
+    # a given --mode generic or --modulus 0 is the generic mode, not an absent flag
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps({"name": "mine", "u": "eps", "mode": {"eps": "+1", "modulus": 3}}))
+    for flags in (["--modulus", "0"], ["--mode", "generic", "--modulus", "0"]):
+        code, out, _ = run_cli(capsys, "commute", "--convention", str(path), *flags, "--deg-a", "0,-1", "--deg-b", "3,2")
+        assert (code, out) == (0, "-eps\n"), flags
+    # both sides of a transport take the flags' mode, so they can be compared
+    code, out, err = run_cli(capsys, "transport", "--pres", "catalog-tau", "--from", str(path), "--to", "epsilon", "tau*nu")
+    assert code == 2 and "different coefficient modes" in err
+    code, out, _ = run_cli(capsys, "transport", "--pres", "catalog-tau", "--from", str(path), "--to", "epsilon",
+                           "--mode", "generic", "tau*nu")
+    assert (code, out) == (0, "AGREE -eps*nu*tau\n")
 
 
 def test_presentation_file_input(tmp_path, capsys):

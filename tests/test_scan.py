@@ -1,16 +1,22 @@
+import csv
+import io
 import json
+import random
 
 import pytest
 
 from motsign import (
     DuplicateKeyError,
     GroupTableRow,
+    MotsignError,
     ParseError,
     check_conjecture,
     load_sample_table,
     parse_table,
     render_table,
+    scan_table,
 )
+from motsign import scan
 
 
 def _gw_class(a: int, b: int) -> tuple[int, int]:
@@ -137,3 +143,168 @@ def test_unknown_format_rejected():
         parse_table("", "tsv")
     with pytest.raises(ParseError):
         render_table([], "tsv")
+
+
+# ---------- the one-pass scanner against a two-pass reference ----------
+
+
+def _reference_parse(text: str, fmt: str) -> list[GroupTableRow]:
+    """Independent two-pass reader: every row validated and built first,
+    duplicate keys checked after, so a malformed row anywhere wins."""
+    rows = []
+    if fmt == "csv":
+        for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not record:
+                continue
+            if len(record) != 5:
+                raise ParseError(
+                    f"expected 5 columns ('name', 'stem', 'weight', 'eps_nonzero', 'source'), got {len(record)}",
+                    line=line_no,
+                )
+            name, stem, weight, flag, source = (field.strip() for field in record)
+            try:
+                stem_val, weight_val = int(stem), int(weight)
+            except ValueError:
+                raise ParseError(f"stem and weight must be integers, got {stem!r}, {weight!r}", line=line_no) from None
+            if flag not in ("0", "1"):
+                raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=line_no)
+            rows.append(GroupTableRow(name, stem_val, weight_val, flag == "1", source))
+    else:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        if not isinstance(doc, list):
+            raise ParseError("expected a JSON array of row objects")
+        for idx, entry in enumerate(doc):
+            if not isinstance(entry, dict):
+                raise ParseError(f"row {idx} is not an object")
+            fields = ("name", "stem", "weight", "eps_nonzero", "source")
+            missing = [key for key in fields if key not in entry]
+            if missing:
+                raise ParseError(f"row {idx} missing field {missing[0]!r}")
+            name, stem, weight, flag, source = (entry[key] for key in fields)
+            if not isinstance(name, str) or not isinstance(source, str):
+                raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
+            if type(stem) is not int or type(weight) is not int:
+                raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
+            if type(flag) not in (int, bool) or flag not in (0, 1):
+                raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {flag!r}")
+            rows.append(GroupTableRow(name, stem, weight, bool(flag), source))
+    seen = set()
+    for row in rows:
+        key = (row.stem, row.weight, row.name)
+        if key in seen:
+            raise DuplicateKeyError(f"duplicate row key (stem={row.stem}, weight={row.weight}, name={row.name!r})")
+        seen.add(key)
+    return rows
+
+
+def _csv_table(rng: random.Random) -> str:
+    bad = rng.random() < 0.5  # half the tables hold malformed rows
+    names = ["a", "b", "x,y", ' q"uote', "r"] if rng.random() < 0.5 else None
+    lines = []
+    for i in range(rng.randint(0, 25)):
+        name = rng.choice(names) if names else f"r{i}"
+        fields = [name, str(rng.randint(-2, 2)), str(rng.randint(-2, 2)), rng.choice("01"), rng.choice(["s", "a,b", ""])]
+        if rng.random() < 0.3:
+            fields = [f" {field} " if rng.random() < 0.5 else field for field in fields]
+        if bad and rng.random() < 0.1:
+            slot, value = rng.choice([(1, "x"), (2, "1.7"), (2, ""), (3, "2"), (3, "yes"), (3, " "), (1, "0x1")])
+            fields[slot] = value
+        if bad and rng.random() < 0.05:
+            fields = fields[: rng.randint(1, 4)] if rng.random() < 0.5 else fields + ["extra"]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(fields)
+        lines.append(out.getvalue())
+        if rng.random() < 0.1:
+            lines.append("")
+    if bad and lines and rng.random() < 0.3:  # a duplicate, then a malformed row after it
+        lines += [lines[rng.randrange(len(lines))], "late,1,1.7,0,s"]
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def _json_table(rng: random.Random) -> str:
+    bad = rng.random() < 0.5
+    if bad and rng.random() < 0.05:
+        return rng.choice(['{"name": "a"}', "[1", "", "null", '[{"name": "a",}]'])
+    names = ["a", "b", "c"] if rng.random() < 0.5 else None
+    doc = []
+    for i in range(rng.randint(0, 25)):
+        entry = {
+            "name": rng.choice(names) if names else f"r{i}",
+            "stem": rng.randint(-2, 2),
+            "weight": rng.randint(-2, 2),
+            "eps_nonzero": rng.choice([0, 1, False, True]),
+            "source": "s",
+        }
+        if bad and rng.random() < 0.1:
+            key, value = rng.choice([("stem", True), ("weight", 1.7), ("weight", "1"), ("eps_nonzero", 2),
+                                     ("eps_nonzero", "1"), ("eps_nonzero", 1.0), ("name", None), ("source", 3)])
+            entry[key] = value
+        if bad and rng.random() < 0.03:
+            del entry[rng.choice(list(entry))]
+        doc.append(entry if not (bad and rng.random() < 0.02) else [entry])
+    if bad and doc and rng.random() < 0.3:  # a duplicate, then a malformed row after it
+        doc += [doc[rng.randrange(len(doc))], {"name": "late"}]
+    return json.dumps(doc)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MotsignError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _scan_by_rows(parse, text, fmt):
+    rows = parse(text, fmt)
+    return len(rows), check_conjecture(rows)
+
+
+def test_scan_table_matches_two_pass_parse():
+    rng = random.Random(1717)
+    kinds = {"ok": 0, "ParseError": 0, "DuplicateKeyError": 0, "duplicate then malformed": 0}
+    for _ in range(1000):
+        for fmt, text in (("csv", _csv_table(rng)), ("json", _json_table(rng))):
+            reference = _outcome(_scan_by_rows, _reference_parse, text, fmt)
+            assert _outcome(scan_table, text, fmt) == _outcome(_scan_by_rows, parse_table, text, fmt) == reference, (
+                fmt, text)
+            if isinstance(reference[0], type):
+                kinds[reference[0].__name__] += 1
+            else:
+                kinds["ok"] += 1
+                assert parse_table(text, fmt) == _reference_parse(text, fmt)
+            kinds["duplicate then malformed"] += "late" in text
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_duplicate_key_yields_to_a_later_malformed_row():
+    for text, fmt in (
+        ("a,1,1,0,s\na,1,1,1,t\nb,1,1.7,0,s\n", "csv"),
+        (json.dumps([{"name": "a", "stem": 1, "weight": 1, "eps_nonzero": 0, "source": "s"}] * 2 + [{}]), "json"),
+    ):
+        for fn in (parse_table, scan_table):
+            with pytest.raises(ParseError) as info:
+                fn(text, fmt)
+            assert info.value.line == (3 if fmt == "csv" else None)
+    with pytest.raises(DuplicateKeyError, match=r"stem=1, weight=1, name='a'"):
+        scan_table("a,1,1,0,s\nb,2,2,0,s\na,1,1,1,t\nb,2,2,0,s\n", "csv")
+
+
+def test_scan_table_builds_a_row_only_per_violation(monkeypatch):
+    built = []
+
+    class CountingRow(GroupTableRow):
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(scan, "GroupTableRow", CountingRow)
+    text = "".join(f"r{i},{i % 9},{i % 5},{int(i % 3 == 0)},s\n" for i in range(300))
+    rows, violations = scan_table(text, "csv")
+    assert rows == 300 and len(violations) == 40
+    assert len(built) == len(violations)
+    assert [(v.stem, v.weight, v.name) for v in violations] == sorted((v.stem, v.weight, v.name) for v in violations)
+    built.clear()
+    assert len(parse_table(text, "csv")) == len(built) == 300
