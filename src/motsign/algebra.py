@@ -28,6 +28,8 @@ unit leading coefficient are instead applied as rewrite rules, replacing
 the leading monomial by the negated tail until a fixed point.  Without
 rules, a product chain is reduced once, at its end, and a run of generators
 in it is one word: one parity-mask pass and one sort per term (`_product`).
+An expression has one node per product and one per sum; a parenthesised
+product stays one factor, so bracketing is kept where rules are not confluent.
 """
 
 from __future__ import annotations
@@ -629,14 +631,12 @@ class NegExpr(Expr):
 
 @dataclass(frozen=True)
 class MulExpr(Expr):
-    left: Expr
-    right: Expr
+    factors: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
 class AddExpr(Expr):
-    left: Expr
-    right: Expr
+    terms: tuple[Expr, ...]  # a difference is a NegExpr term
 
 
 # an operator token is known by its text alone; bad is any stray character, non-ASCII ones too
@@ -669,20 +669,19 @@ def parse_expression(text: str) -> Expr:
 
     def expr() -> Expr:
         nonlocal pos
-        node = term()
+        terms = [term()]
         while (op := tokens[pos][1]) in ("+", "-"):
             pos += 1
-            right = term()
-            node = AddExpr(node, right if op == "+" else NegExpr(right))
-        return node
+            terms.append(term() if op == "+" else NegExpr(term()))
+        return AddExpr(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term() -> Expr:
         nonlocal pos
-        node = factor()
+        factors = [factor()]
         while tokens[pos][1] == "*":
             pos += 1
-            node = MulExpr(node, factor())
-        return node
+            factors.append(factor())
+        return MulExpr(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor() -> Expr:
         nonlocal pos, depth
@@ -712,7 +711,7 @@ def parse_expression(text: str) -> Expr:
         n = _int_literal(value, col) if kind == "int" else 0
         if not 1 <= n <= MAX_EXPONENT:
             raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
-        return reduce(MulExpr, [node] * (n - 1), node)
+        return MulExpr((node,) * n) if n > 1 else node
 
     try:
         node = expr()
@@ -728,9 +727,9 @@ def parse_expression(text: str) -> Expr:
 def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element:
     """Evaluate an expression tree (or string) to a canonical element.
 
-    Each node goes to the operation it names; a left-deep chain of products
-    (one `_product` fold) or sums is folded in a loop, so flat chains of
-    any length need no recursion.
+    Each node goes to the operation it names: a product's factors to one
+    `_product` fold, a sum's terms to a left fold of `add_elements`, so
+    flat chains of any length need no recursion.
     """
     if isinstance(expr, str):
         expr = parse_expression(expr)
@@ -742,24 +741,16 @@ def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element
         return scalar_element(expr.value, conv, pres)
     if isinstance(expr, NegExpr):
         return scalar_mul(-1, eval_expr(expr.child, conv, pres), conv, pres)
-    if not isinstance(expr, (MulExpr, AddExpr)):
-        raise MotsignError(f"not an expression node: {expr!r}")
-    chain = type(expr)
-    operands = []
-    while type(expr) is chain:
-        operands.append(expr.right)
-        expr = expr.left
-    operands = [expr, *reversed(operands)]
-    if chain is MulExpr:
+    if isinstance(expr, MulExpr) and expr.factors:
         # a generator leaf enters the product as its index
-        factors = (
-            pres.index(e.name) if type(e) is NameExpr and e.name != "eps" else eval_expr(e, conv, pres)
-            for e in operands
-        )
+        factors = (pres.index(e.name) if type(e) is NameExpr and e.name != "eps" else eval_expr(e, conv, pres)
+                   for e in expr.factors)
         return _product(factors, conv, pres)
-    result = eval_expr(operands[0], conv, pres)
-    for operand in operands[1:]:
-        result = add_elements(result, eval_expr(operand, conv, pres), conv, pres)
+    if not (isinstance(expr, AddExpr) and expr.terms):
+        raise MotsignError(f"not an expression node: {expr!r}")
+    result = eval_expr(expr.terms[0], conv, pres)
+    for term in expr.terms[1:]:
+        result = add_elements(result, eval_expr(term, conv, pres), conv, pres)
     return result
 
 

@@ -126,6 +126,14 @@ def _mode(args: argparse.Namespace) -> CoefMode | None:
     return CoefMode(args.mode or "generic", args.modulus or 0)
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ParseError("JSON nests too deeply") from None
+
+
 def _resolve_convention(token: str, mode: CoefMode | None) -> Convention:
     # presets and aliases win, so a file named like a preset never shadows it
     try:
@@ -133,9 +141,7 @@ def _resolve_convention(token: str, mode: CoefMode | None) -> Convention:
     except ParseError:
         if not (os.path.exists(token) or token.endswith(".json")):
             raise
-    with open(token, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    conv = convention_from_json(doc)
+    conv = convention_from_json(_read_json(token))
     if mode is not None and conv.mode != mode:
         conv = Convention(conv.name, conv.twist, mode)
     return conv
@@ -146,15 +152,13 @@ def _resolve_presentation(token: str) -> Presentation:
         return catalog.universal_presentation(include_tau=False)
     if token in ("catalog-tau", "catalog+tau"):
         return catalog.universal_presentation(include_tau=True)
-    with open(token, encoding="utf-8") as handle:
-        return presentation_from_json(json.load(handle))
+    return presentation_from_json(_read_json(token))
 
 
 def _cocycle_from_args(args: argparse.Namespace):
     if args.u is not None:
         return unit_twist(parse_unit(args.u))
-    with open(args.file, encoding="utf-8") as handle:
-        return cocycle_from_json(json.load(handle))
+    return cocycle_from_json(_read_json(args.file))
 
 
 def _grid(args: argparse.Namespace) -> range:

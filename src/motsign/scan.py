@@ -45,12 +45,14 @@ def _records(text: str, format: str) -> Iterator[tuple[str, int, int, bool, str]
     repeated (stem, weight, name) key is raised only once the whole table
     has parsed, so a malformed row anywhere in the table wins over it."""
     if format == "csv":
-        entries = enumerate(csv.reader(io.StringIO(text)), start=1)
+        entries = enumerate(reader := csv.reader(io.StringIO(text)), start=1)
     elif format == "json":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        except RecursionError:
+            raise ParseError("JSON nests too deeply") from None
         if not isinstance(doc, list):
             raise ParseError("expected a JSON array of row objects")
         entries = enumerate(doc)
@@ -59,43 +61,46 @@ def _records(text: str, format: str) -> Iterator[tuple[str, int, int, bool, str]
     is_csv = format == "csv"
     seen: set[tuple[int, int, str]] = set()
     repeated = None
-    for idx, entry in entries:
-        if is_csv:  # idx is the line number
-            if not entry:
-                continue
-            if len(entry) != len(_CSV_COLUMNS):
-                raise ParseError(f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(entry)}", line=idx)
-            name, stem_text, weight_text, flag, source = map(str.strip, entry)
-            try:
-                stem, weight = int(stem_text), int(weight_text)
-            except ValueError:
-                raise ParseError(
-                    f"stem and weight must be integers, got {stem_text!r}, {weight_text!r}", line=idx
-                ) from None
-            if flag not in ("0", "1"):
-                raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=idx)
-            eps_nonzero = flag == "1"
-        else:
-            if not isinstance(entry, dict):
-                raise ParseError(f"row {idx} is not an object")
-            try:
-                name, stem, weight, flag, source = (entry[field] for field in _CSV_COLUMNS)
-            except KeyError as missing:
-                raise ParseError(f"row {idx} missing field {missing}") from None
-            # the CSV rules: bool is an int subclass, so true/false pass the
-            # eps_nonzero test and fail the stem/weight one
-            if not isinstance(name, str) or not isinstance(source, str):
-                raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
-            if type(stem) is not int or type(weight) is not int:
-                raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
-            if not isinstance(flag, int) or flag not in (0, 1):
-                raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {flag!r}")
-            eps_nonzero = bool(flag)
-        key = (stem, weight, name)
-        if key in seen:
-            repeated = repeated or key
-        seen.add(key)
-        yield name, stem, weight, eps_nonzero, source
+    try:
+        for idx, entry in entries:
+            if is_csv:  # idx is the line number
+                if not entry:
+                    continue
+                if len(entry) != len(_CSV_COLUMNS):
+                    raise ParseError(f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(entry)}", line=idx)
+                name, stem_text, weight_text, flag, source = map(str.strip, entry)
+                try:
+                    stem, weight = int(stem_text), int(weight_text)
+                except ValueError:
+                    raise ParseError(
+                        f"stem and weight must be integers, got {stem_text!r}, {weight_text!r}", line=idx
+                    ) from None
+                if flag not in ("0", "1"):
+                    raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=idx)
+                eps_nonzero = flag == "1"
+            else:
+                if not isinstance(entry, dict):
+                    raise ParseError(f"row {idx} is not an object")
+                try:
+                    name, stem, weight, flag, source = (entry[field] for field in _CSV_COLUMNS)
+                except KeyError as missing:
+                    raise ParseError(f"row {idx} missing field {missing}") from None
+                # the CSV rules: bool is an int subclass, so true/false pass the
+                # eps_nonzero test and fail the stem/weight one
+                if not isinstance(name, str) or not isinstance(source, str):
+                    raise ParseError(f"row {idx}: name and source must be strings, got {name!r}, {source!r}")
+                if type(stem) is not int or type(weight) is not int:
+                    raise ParseError(f"row {idx}: stem and weight must be integers, got {stem!r}, {weight!r}")
+                if not isinstance(flag, int) or flag not in (0, 1):
+                    raise ParseError(f"row {idx}: eps_nonzero must be 0, 1, false or true, got {flag!r}")
+                eps_nonzero = bool(flag)
+            key = (stem, weight, name)
+            if key in seen:
+                repeated = repeated or key
+            seen.add(key)
+            yield name, stem, weight, eps_nonzero, source
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     if repeated:
         stem, weight, name = repeated
         raise DuplicateKeyError(f"duplicate row key (stem={stem}, weight={weight}, name={name!r})")

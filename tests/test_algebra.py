@@ -4,7 +4,6 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -876,13 +875,12 @@ def _pairwise_eval(expr, conv, pres):
         return algebra._assemble({(): Coef(expr.value)}, Bidegree(0, 0), conv, pres)
     if isinstance(expr, algebra.NegExpr):
         return scalar_mul(-1, _pairwise_eval(expr.child, conv, pres), conv, pres)
-    chain, operands = type(expr), []
-    while type(expr) is chain:
-        operands.append(expr.right)
-        expr = expr.left
-    op = _pairwise_product if chain is algebra.MulExpr else add_elements
-    result = _pairwise_eval(expr, conv, pres)
-    for operand in reversed(operands):
+    if isinstance(expr, algebra.MulExpr):
+        op, (first, *rest) = _pairwise_product, expr.factors
+    else:
+        op, (first, *rest) = add_elements, expr.terms
+    result = _pairwise_eval(first, conv, pres)
+    for operand in rest:
         result = op(result, _pairwise_eval(operand, conv, pres), conv, pres)
     return result
 
@@ -953,13 +951,13 @@ def _trees(names):
     )
 
     def extend(children):
-        products = st.lists(children, min_size=2, max_size=5).map(lambda fs: reduce(algebra.MulExpr, fs))
+        products = st.lists(children, min_size=2, max_size=5).map(lambda fs: algebra.MulExpr(tuple(fs)))
         return st.one_of(
             children.map(algebra.NegExpr),
             products,
-            products.map(lambda p: algebra.AddExpr(p, algebra.NegExpr(p))),  # zero
-            st.tuples(children, children).map(lambda pair: algebra.AddExpr(*pair)),  # often inhomogeneous
-            st.tuples(products, leaves).map(lambda pair: algebra.AddExpr(pair[0], algebra.MulExpr(pair[1], pair[0]))),
+            products.map(lambda p: algebra.AddExpr((p, algebra.NegExpr(p)))),  # zero
+            st.lists(children, min_size=2, max_size=3).map(lambda ts: algebra.AddExpr(tuple(ts))),  # often inhomogeneous
+            st.tuples(products, leaves).map(lambda pair: algebra.AddExpr((pair[0], algebra.MulExpr((pair[1], pair[0]))))),
         )
 
     return st.recursive(leaves, extend, max_leaves=20)
@@ -1036,6 +1034,48 @@ def test_factors_after_a_zero_are_still_evaluated():
         eval_expr("0*(eta + nu)", REF, CATALOG)
 
 
+def test_rule_path_matches_pairwise_fold():
+    # rules that overlap (so bracketing changes the answer) and chained rules
+    rng = random.Random(83)
+    cases = []
+    while len(cases) < 8:
+        try:
+            cases.append(_overlapping_presentation(rng))
+        except MotsignError:  # a relation with no unit lead, or one that is zero
+            continue
+    cases += [_chained_presentation(rng, depth) for depth in (1, 2, 3)]
+    outcomes = Counter()
+    for pres in cases:
+        names = [gen.name for gen in pres.generators]
+        for mode in ALL_MODES[::3]:
+            conv = convention(rng.choice(PRESETS).name, mode)
+            for _ in range(5):
+                text = _random_text(rng, names)
+                want = _outcome(_pairwise_eval, parse_expression(text), conv, pres)
+                assert _outcome(eval_expr, text, conv, pres) == want, (text, conv)
+                outcomes["error" if isinstance(want, tuple) else "zero" if want == ZERO else "nonzero"] += 1
+    assert outcomes["nonzero"] > 100 and outcomes["zero"] > 100 and outcomes["error"] > 2, outcomes
+
+
+def test_a_parenthesised_product_stays_one_factor():
+    # the rules overlap, so the normal form depends on the bracketing: a
+    # left-nested product folds as the flat chain does, a right-nested one not
+    pres = Presentation([Generator(n, Bidegree(1, 0)) for n in "abcd"], ["-a*a + eps*b*c", "a*d + b*c", "a*b + b*c"])
+    for text, want in [("b*a*a", "b*c^2"), ("(b*a)*a", "b*c^2"), ("b*(a*a)", "eps*b^2*c")]:
+        assert eval_expr(text, REF, pres).render(pres) == want, text
+
+
+def test_one_node_per_product_and_per_sum():
+    power = parse_expression(f"eta^{MAX_EXPONENT}")
+    assert type(power) is algebra.MulExpr and len(power.factors) == MAX_EXPONENT
+    assert all(factor is power.factors[0] for factor in power.factors)
+    a, b = algebra.NameExpr("a"), algebra.NameExpr("b")
+    assert parse_expression("a - b") == algebra.AddExpr((a, algebra.NegExpr(b)))
+    assert parse_expression("a*(a*b)*b") == algebra.MulExpr((a, algebra.MulExpr((a, b)), b))
+    assert parse_expression("-a^2") == algebra.NegExpr(algebra.MulExpr((a, a)))
+    assert parse_expression("(a)") == parse_expression("a^1") == a
+
+
 # ---------- user-named presentations render and parse back ----------
 
 
@@ -1053,15 +1093,29 @@ NON_UNIT_COEFS = ["2", "3", "4", "6", "(1-eps)", "(1+eps)", "(2-2*eps)", "(2+eps
 
 @st.composite
 def _user_presentations(draw):
-    """Rule-free presentations built from JSON documents: random names,
-    degrees with negative entries, and random annihilator relations."""
-    names = draw(st.lists(USER_NAMES, min_size=1, max_size=4, unique=True))
+    """Presentations built from JSON documents: random names, degrees with
+    negative entries, random annihilator relations, and rewrite rules in
+    the rewrite workload's shape: the lead x_k*y_k rewrites to a unit or
+    non-unit multiple of a word in the names after all leads, times the
+    next lead when one follows.  Each lead has its own two generators,
+    listed before every tail letter, so the lead is the greatest word."""
+    rules = draw(st.integers(0, 2))
+    names = draw(st.lists(USER_NAMES, min_size=2 * rules + 1, max_size=2 * rules + 4, unique=True))
+    leads = names[: 2 * rules]
     degree = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+    degrees = {name: draw(degree) for name in names}
     word = st.lists(st.sampled_from(names), min_size=1, max_size=3).map("*".join)
-    relations = draw(st.lists(st.tuples(st.sampled_from(NON_UNIT_COEFS), word).map("*".join), max_size=3))
-    doc = {"generators": [{"name": name, "degree": draw(degree)} for name in names], "relations": relations}
+    relations, after = [], []
+    for x, y in reversed(list(zip(leads[::2], leads[1::2]))):
+        tail = after + draw(st.lists(st.sampled_from(names[len(leads):]), min_size=1, max_size=3))
+        degrees[y] = [sum(degrees[name][i] for name in tail) - degrees[x][i] for i in (0, 1)]
+        coef = draw(st.sampled_from(["1", "-1", "eps", "-eps", *NON_UNIT_COEFS]))
+        relations.append(f"{x}*{y} - {coef}*{'*'.join(tail)}")
+        after = [x, y]
+    relations += draw(st.lists(st.tuples(st.sampled_from(NON_UNIT_COEFS), word).map("*".join), max_size=3))
+    doc = {"generators": [{"name": name, "degree": degrees[name]} for name in names], "relations": relations}
     pres = presentation_from_json(doc)
-    assert not pres._rules and presentation_to_json(pres) == doc
+    assert len(pres._rules) == rules and presentation_to_json(pres) == doc
     return pres
 
 
@@ -1070,6 +1124,8 @@ def _user_presentations(draw):
 def test_user_named_elements_parse_back(pres, data):
     # permutations of one word share its degree, so the sum is homogeneous
     base = data.draw(st.lists(st.sampled_from([gen.name for gen in pres.generators]), min_size=1, max_size=5))
+    # often with a rule's lead in it, so that the rules rewrite
+    base += [pres.generators[i].name for i in data.draw(st.sampled_from([(), *(rule.lead for rule in pres._rules)]))]
     summands = []
     for _ in range(data.draw(st.integers(1, 3))):
         a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))

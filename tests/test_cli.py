@@ -318,6 +318,24 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             assert err.startswith("error:") and "Traceback" not in err, doc
 
 
+def test_hostile_input_files_exit_2(tmp_path, capsys):
+    # past the JSON decoder's recursion limit, and a CSV field past the csv module's size limit
+    deep, long = tmp_path / "deep.json", tmp_path / "long.csv"
+    deep.write_text("[" * 200_000)
+    long.write_text("x" * 200_000 + ",1,2,0,s\n")
+    for argv in (
+        ("eval", "--pres", str(deep), "eta"),
+        ("commute", "--convention", str(deep), "--deg-a", "0,1", "--deg-b", "1,0"),
+        ("cocycle", "check", "--file", str(deep)),
+        ("scan", "--table", str(deep)),
+        ("scan", "--table", str(long)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert err.endswith("(line 1)\n")
+
+
 def _readme_examples():
     """(argv, expected stdout) for each `$ motsign ...` line of the
     README; the output is every line up to the next prompt or the end of

@@ -145,6 +145,14 @@ def test_unknown_format_rejected():
         render_table([], "tsv")
 
 
+def test_hostile_tables_are_parse_errors():
+    # past the JSON decoder's recursion limit, and a field past the csv module's size limit
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_table("[" * 200_000, "json")
+    with pytest.raises(ParseError, match=r"field larger than field limit .*\(line 2\)"):
+        parse_table("a,1,2,0,s\n" + "x" * 200_000 + ",1,2,0,s\n", "csv")
+
+
 # ---------- the one-pass scanner against a two-pass reference ----------
 
 
