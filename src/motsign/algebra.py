@@ -25,7 +25,9 @@ Annihilator coefficients stay in the generic coefficient ring even when
 elements are evaluated under a specialized mode, so an eps-torsion
 relation never silently turns into integer torsion.  Relations with a
 unit leading coefficient are instead applied as rewrite rules, replacing
-the leading monomial by the negated tail until a fixed point.  Without
+the leading monomial by the negated tail until a fixed point.  That loop
+runs on integer pairs, keeps its least-word-first order on a heap and shares
+the basis cache; a Coef is built only for each surviving term.  Without
 rules, a product chain is reduced once, at its end, and a run of generators
 in it is one word: one parity-mask pass and one sort per term (`_product`).
 An expression has one node per product and one per sum; a parenthesised
@@ -37,10 +39,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -60,9 +62,9 @@ from .units import (
     GENERIC,
     UNITS,
     Unit,
+    _specialized,
     _unit,
     is_unit_coef,
-    specialize,
 )
 
 __all__ = [
@@ -255,10 +257,10 @@ class _RewriteRule:
     lead: Monomial
     neg_lead_inv: Coef
     tail: tuple[tuple[Monomial, Coef], ...]
-    # parity masks (bit i: generator i occurs an odd number of times) of
-    # the lead and of each tail monomial, in tail order
-    lead_odd: int
-    tail_odd: tuple[int, ...]
+    # per tail term (monomial, a, b, odd): a + b*eps is neg_lead_inv times its
+    # coefficient, odd the XOR of the lead's and its parity masks (bit i:
+    # generator i occurs an odd number of times); see _apply_rule
+    steps: tuple[tuple[Monomial, int, int, int], ...]
 
 
 class Presentation:
@@ -342,9 +344,12 @@ class Presentation:
         lead, lead_coef = ranked[-1]
         if is_unit_coef(lead_coef):
             # a generic unit is one of 1, -1, eps, -eps: its own inverse
-            tail = tuple(ranked[:-1])
-            odd = tuple(_xor_over(self._bits, monomial) for monomial, _ in tail)
-            self._rules.append(_RewriteRule(lead, -lead_coef, tail, _xor_over(self._bits, lead), odd))
+            tail, neg_lead_inv, lead_odd = tuple(ranked[:-1]), -lead_coef, _xor_over(self._bits, lead)
+            steps = []
+            for monomial, coef in tail:
+                step = neg_lead_inv * coef
+                steps.append((monomial, step.a, step.b, lead_odd ^ _xor_over(self._bits, monomial)))
+            self._rules.append(_RewriteRule(lead, neg_lead_inv, tail, tuple(steps)))
         elif len(ranked) == 1:
             self._ann_entries.append((lead, lead_coef))
         else:
@@ -386,13 +391,17 @@ class Presentation:
 
     def reduce_coef(self, monomial: Monomial, coef: Coef, mode: CoefMode = GENERIC) -> Coef:
         """Canonical representative of the coefficient modulo the
-        monomial's annihilator ideal (and the mode's modulus).
+        monomial's annihilator ideal (and the mode's modulus)."""
+        return Coef(*self._reduce(monomial, coef.a, coef.b, mode))
+
+    def _reduce(self, monomial: Monomial, a: int, b: int, mode: CoefMode) -> tuple[int, int]:
+        """`reduce_coef` on the integer pair (a, b) of a + b*eps.
 
         The one place a coefficient meets the mode: `specialize` is a
         ring homomorphism, so callers pass unspecialized products."""
-        coef = specialize(coef, mode)
+        a, b = _specialized(a, b, mode)
         if self._raw:
-            return coef
+            return a, b
         key = (monomial, mode.modulus)
         basis = self._basis_cache.get(key)
         if basis is None:
@@ -405,31 +414,32 @@ class Presentation:
                 del self._basis_cache[next(iter(self._basis_cache))]  # dicts keep insertion order
             self._basis_cache[key] = basis
         a1, b1, a2 = basis
-        if not (b1 or a2):
-            return coef
-        k = coef.b // b1 if b1 else 0
-        a = coef.a - k * a1
-        return Coef(a % a2 if a2 else a, coef.b - k * b1)
+        if b1:
+            k = b // b1
+            a, b = a - k * a1, b - k * b1
+        return (a % a2 if a2 else a), b
 
 
 # ---------- element assembly ----------
 
 
 def _assemble(raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pres: Presentation) -> Element:
-    """Reduce and rewrite raw terms of the caller's bidegree; rules are homogeneous."""
-    mode = conv.mode
-    terms: dict[Monomial, Coef] = {}
+    """Reduce and rewrite raw terms of the caller's bidegree; rules are homogeneous.
+    Coefficients run as pairs (a, b) for a + b*eps until the result is built."""
+    mode, reduce_pair = conv.mode, pres._reduce
+    terms: dict[Monomial, tuple[int, int]] = {}
     for monomial, coef in raw.items():
-        coef = pres.reduce_coef(monomial, coef, mode)
-        if not coef.is_zero():
-            terms[monomial] = coef
+        pair = reduce_pair(monomial, coef.a, coef.b, mode)
+        if pair != (0, 0):
+            terms[monomial] = pair
     if pres._rules:
         # least rewritable monomial first, first matching rule; rules never
-        # change, so only a monomial a rewrite adds to needs another look
+        # change, so only a monomial a rewrite adds to needs another look.
+        # pending is a heap (a sorted list is one): it pops the least word
         passes = 0
         pending = sorted(terms)
         while pending:
-            monomial = pending.pop(0)
+            monomial = heappop(pending)
             if monomial not in terms:
                 continue
             for rule in pres._rules:
@@ -443,38 +453,40 @@ def _assemble(raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pre
                 raise RewriteLimitError(
                     f"no fixed point after {MAX_REWRITE_PASSES} rewrite passes"
                 )
-            coef = terms.pop(monomial)
-            for new_monomial, new_coef in _apply_rule(rest, coef, rule, pres):
-                total = terms.get(new_monomial, Coef()) + new_coef
-                total = pres.reduce_coef(new_monomial, total, mode)
-                if total.is_zero():
-                    terms.pop(new_monomial, None)
+            a, b = terms.pop(monomial)
+            for new_monomial, a, b in _apply_rule(rest, a, b, rule, pres):
+                old = terms.get(new_monomial)
+                if old is not None:
+                    a, b = a + old[0], b + old[1]
+                pair = reduce_pair(new_monomial, a, b, mode)
+                if pair != (0, 0):
+                    terms[new_monomial] = pair
+                    heappush(pending, new_monomial)
                 else:
-                    terms[new_monomial] = total
-                    insort(pending, new_monomial)
+                    terms.pop(new_monomial, None)
     if not terms:
         return ZERO
-    return Element(tuple(sorted(terms.items())), degree)
+    return Element(tuple([(monomial, Coef(a, b)) for monomial, (a, b) in sorted(terms.items())]), degree)
 
 
 def _apply_rule(
-    rest: Monomial,
-    coef: Coef,
-    rule: _RewriteRule,
-    pres: Presentation,
-) -> list[tuple[Monomial, Coef]]:
-    """The terms replacing coef * (rule.lead * rest) under the rule.
+    rest: Monomial, a: int, b: int, rule: _RewriteRule, pres: Presentation
+) -> list[tuple[Monomial, int, int]]:
+    """The terms (monomial, a', b') replacing (a + b*eps) * (rule.lead * rest).
 
     Every merge here has rest on the right, so rest's two masks (see
-    _merge_words) are built once and met with each monomial's parity mask."""
+    _merge_words) are built once.  A term's unit is the lead's merge unit (its
+    own inverse) times the tail monomial's: units commute with coefficients,
+    and popcount(x & u) + popcount(x & v) = popcount(x & (u ^ v)) mod 2."""
     s_rest, t_rest = _xor_over(pres._s_above, rest), _xor_over(pres._t_above, rest)
-    # the merged word is the monomial itself; its unit is its own inverse
-    odd = rule.lead_odd
-    factor = _signed(coef * rule.neg_lead_inv, (s_rest & odd).bit_count(), (t_rest & odd).bit_count())
     out = []
-    for (tail_monomial, tail_coef), odd in zip(rule.tail, rule.tail_odd):
-        merged = tuple(sorted(tail_monomial + rest))
-        out.append((merged, _signed(factor * tail_coef, (s_rest & odd).bit_count(), (t_rest & odd).bit_count())))
+    for monomial, c, d, odd in rule.steps:
+        x, y = a * c + b * d, a * d + b * c
+        if (t_rest & odd).bit_count() & 1:  # eps swaps the two parts
+            x, y = y, x
+        if (s_rest & odd).bit_count() & 1:
+            x, y = -x, -y
+        out.append((tuple(sorted(monomial + rest)), x, y))
     return out
 
 

@@ -63,20 +63,24 @@ def _records(text: str, format: str) -> Iterator[tuple[str, int, int, bool, str]
     repeated = None
     try:
         for idx, entry in entries:
-            if is_csv:  # idx is the line number
+            if is_csv:  # idx counts records; an error names the record's first line
                 if not entry:
                     continue
                 if len(entry) != len(_CSV_COLUMNS):
-                    raise ParseError(f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(entry)}", line=idx)
+                    raise ParseError(
+                        f"expected {len(_CSV_COLUMNS)} columns {_CSV_COLUMNS}, got {len(entry)}",
+                        line=_first_line(reader, entry),
+                    )
                 name, stem_text, weight_text, flag, source = map(str.strip, entry)
                 try:
                     stem, weight = int(stem_text), int(weight_text)
                 except ValueError:
                     raise ParseError(
-                        f"stem and weight must be integers, got {stem_text!r}, {weight_text!r}", line=idx
+                        f"stem and weight must be integers, got {stem_text!r}, {weight_text!r}",
+                        line=_first_line(reader, entry),
                     ) from None
                 if flag not in ("0", "1"):
-                    raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=idx)
+                    raise ParseError(f"eps_nonzero must be 0 or 1, got {flag!r}", line=_first_line(reader, entry))
                 eps_nonzero = flag == "1"
             else:
                 if not isinstance(entry, dict):
@@ -104,6 +108,12 @@ def _records(text: str, format: str) -> Iterator[tuple[str, int, int, bool, str]
     if repeated:
         stem, weight, name = repeated
         raise DuplicateKeyError(f"duplicate row key (stem={stem}, weight={weight}, name={name!r})")
+
+
+def _first_line(reader, record: list[str]) -> int:
+    """The file line a CSV record starts on: the reader has read through
+    its last line, and each newline inside a quoted field is one line more."""
+    return reader.line_num - sum(field.count("\n") for field in record)
 
 
 def parse_table(text: str, format: str = "csv") -> list[GroupTableRow]:

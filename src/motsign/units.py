@@ -180,7 +180,11 @@ GENERIC = CoefMode()
 
 def specialize(c: Coef, mode: CoefMode) -> Coef:
     """Apply the eps substitution, then the modulus.  A ring homomorphism."""
-    a, b = c.a, c.b
+    return Coef(*_specialized(c.a, c.b, mode))
+
+
+def _specialized(a: int, b: int, mode: CoefMode) -> tuple[int, int]:
+    """`specialize` on the integer pair (a, b) of a + b*eps."""
     if mode.eps == "+1":
         a, b = a + b, 0
     elif mode.eps == "-1":
@@ -188,7 +192,7 @@ def specialize(c: Coef, mode: CoefMode) -> Coef:
     if mode.modulus:
         a %= mode.modulus
         b %= mode.modulus
-    return Coef(a, b)
+    return a, b
 
 
 def is_unit_coef(c: Coef, mode: CoefMode = GENERIC) -> bool:

@@ -443,7 +443,8 @@ def test_rewrite_limit_guard(monkeypatch):
 def _rescan_assemble(raw, conv, pres):
     """Reference for the rewrite order: sort every term on every pass and
     rewrite the least monomial some rule divides, with the first such rule
-    in declaration order."""
+    in declaration order.  Returns the element and the number of rewrites;
+    a rule is applied by `_apply_rule_reference`, on Coef values."""
     terms = {}
     for monomial, coef in raw.items():
         coef = pres.reduce_coef(monomial, coef, conv.mode)
@@ -460,15 +461,15 @@ def _rescan_assemble(raw, conv, pres):
         monomial, rule = hits[0]
         rest = tuple(sorted((Counter(monomial) - Counter(rule.lead)).elements()))
         coef = terms.pop(monomial)
-        for new_monomial, new_coef in algebra._apply_rule(rest, coef, rule, pres):
+        for new_monomial, new_coef in _apply_rule_reference(rest, coef, rule, pres):
             total = pres.reduce_coef(new_monomial, terms.get(new_monomial, Coef()) + new_coef, conv.mode)
             if total.is_zero():
                 terms.pop(new_monomial, None)
             else:
                 terms[new_monomial] = total
     if not terms:
-        return ZERO
-    return Element(tuple(sorted(terms.items())), pres.monomial_degree(min(terms)))
+        return ZERO, passes
+    return Element(tuple(sorted(terms.items())), pres.monomial_degree(min(terms))), passes
 
 
 def _chained_presentation(rng, depth):
@@ -514,24 +515,71 @@ def test_rewrite_order_matches_rescan_reference():
     cases += [(_chained_presentation(rng, depth), depth) for depth in (2, 3, 2, 3)]
     modes = [CoefMode(), CoefMode("-1"), CoefMode("generic", 4)]
     for pres, depth in cases:
-        n = len(pres.generators)
         for trial in range(12):
             conv = convention("epsilon", modes[trial % 3])
-            raw = {}
-            if depth is None:
-                length = rng.randint(2, 6)
-                for _ in range(rng.randint(1, 4)):
-                    monomial = tuple(sorted(rng.randrange(n) for _ in range(length)))
-                    raw[monomial] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
-            else:
-                # x0^a y0^a times a fixed number of e, f, g: one bidegree
-                a, length = rng.randint(1, 4), rng.randint(1, 3)
-                lead = (pres.index("x0"),) * a + (pres.index("y0"),) * a
-                for _ in range(rng.randint(1, 3)):
-                    normal = tuple(pres.index(rng.choice("efg")) for _ in range(length))
-                    raw[tuple(sorted(lead + normal))] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+            raw = _random_raw(rng, pres, depth)
             degree = pres.monomial_degree(next(iter(raw)))
-            assert algebra._assemble(raw, degree, conv, pres) == _rescan_assemble(raw, conv, pres)
+            assert algebra._assemble(raw, degree, conv, pres) == _rescan_assemble(raw, conv, pres)[0]
+
+
+def _random_raw(rng, pres, depth):
+    """Raw terms of one bidegree: words of one length over an overlapping
+    presentation (depth None), or x0^a y0^a times e, f, g over a chained one."""
+    n, raw = len(pres.generators), {}
+    if depth is None:
+        length = rng.randint(2, 6)
+        for _ in range(rng.randint(1, 4)):
+            monomial = tuple(sorted(rng.randrange(n) for _ in range(length)))
+            raw[monomial] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+    else:
+        # x0^a y0^a times a fixed number of e, f, g: one bidegree
+        a, length = rng.randint(1, 4), rng.randint(1, 3)
+        lead = (pres.index("x0"),) * a + (pres.index("y0"),) * a
+        for _ in range(rng.randint(1, 3)):
+            normal = tuple(pres.index(rng.choice("efg")) for _ in range(length))
+            raw[tuple(sorted(lead + normal))] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
+    return raw
+
+
+def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
+    # the rule loop on integer pairs against the Coef rescan in every mode,
+    # over overlapping rules (where the rewrite order shows) and chained
+    # ones; the second pass keeps two annihilator bases per presentation,
+    # so the cache evicts while a loop runs
+    rng = random.Random(89)
+    cases = []
+    while len(cases) < 10:
+        try:
+            cases.append((_overlapping_presentation(rng), None))
+        except MotsignError:  # a relation with no unit lead, or one that is zero
+            continue
+    cases += [(_chained_presentation(rng, depth), depth) for depth in (1, 2, 3)]
+    outcomes = Counter()
+    for bound in (algebra.MAX_BASIS_CACHE, 2):
+        monkeypatch.setattr(algebra, "MAX_BASIS_CACHE", bound)
+        for pres, depth in cases:
+            pres._basis_cache.clear()
+            for mode in ALL_MODES * 2:
+                conv = convention(rng.choice(PRESETS).name, mode)
+                raw = _random_raw(rng, pres, depth)
+                degree = pres.monomial_degree(next(iter(raw)))
+                want, passes = _rescan_assemble(raw, conv, pres)
+                assert algebra._assemble(raw, degree, conv, pres) == want, (pres.relation_strings, raw, conv)
+                outcomes["zero" if want == ZERO else "nonzero"] += 1
+                if not passes:
+                    continue
+                # the limit trips on the same rewrite as in the reference
+                with monkeypatch.context() as limit:
+                    limit.setattr(algebra, "MAX_REWRITE_PASSES", passes)
+                    assert algebra._assemble(raw, degree, conv, pres) == want
+                    limit.setattr(algebra, "MAX_REWRITE_PASSES", passes - 1)
+                    for assemble in (lambda: algebra._assemble(raw, degree, conv, pres),
+                                     lambda: _rescan_assemble(raw, conv, pres)):
+                        with pytest.raises(RewriteLimitError):
+                            assemble()
+                outcomes["limited"] += 1
+            assert len(pres._basis_cache) <= bound
+    assert outcomes["nonzero"] > 500 and outcomes["zero"] > 200 and outcomes["limited"] > 300, outcomes
 
 
 def _merge_words_reference(m1, m2, pres):
@@ -589,6 +637,18 @@ def test_quotient_matches_counter_reference():
                 assert algebra._quotient(m, div) == want
 
 
+def _apply_rule_reference(rest, coef, rule, pres):
+    """Oracle: the terms replacing coef * (rule.lead * rest), one reference
+    commutation unit per strictly inverted cross pair, on Coef values."""
+    _, pen = _merge_words_reference(rule.lead, rest, pres)
+    factor = coef * pen.to_coef() * rule.neg_lead_inv
+    want = []
+    for tail_monomial, tail_coef in rule.tail:
+        merged, tail_pen = _merge_words_reference(tail_monomial, rest, pres)
+        want.append((merged, factor * tail_coef * tail_pen.to_coef()))
+    return want
+
+
 def test_apply_rule_matches_per_pair_reference():
     rng = random.Random(59)
     for pres in _kernel_presentations()[2:]:
@@ -596,13 +656,8 @@ def test_apply_rule_matches_per_pair_reference():
         for rule in pres._rules:
             for rest in _random_words(rng, n):
                 coef = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
-                _, pen = _merge_words_reference(rule.lead, rest, pres)
-                factor = coef * pen.to_coef() * rule.neg_lead_inv
-                want = []
-                for tail_monomial, tail_coef in rule.tail:
-                    merged, tail_pen = _merge_words_reference(tail_monomial, rest, pres)
-                    want.append((merged, factor * tail_coef * tail_pen.to_coef()))
-                assert algebra._apply_rule(rest, coef, rule, pres) == want
+                got = algebra._apply_rule(rest, coef.a, coef.b, rule, pres)
+                assert [(merged, Coef(a, b)) for merged, a, b in got] == _apply_rule_reference(rest, coef, rule, pres)
 
 
 def test_element_rendering():

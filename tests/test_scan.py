@@ -53,6 +53,12 @@ def test_parse_csv_reports_line_numbers():
     assert info.value.line == 1
     with pytest.raises(ParseError):
         parse_table("eta,1,1,yes,relations\n", "csv")
+    # the file line a row starts on, past quoted fields that hold newlines
+    for text, line in [('a,1,2,0,"x\ny"\nbad\n', 3), ('"a\r\nb\nc",1,2,3,s\n', 1), ('a,1,2,0,"x\n\ny"\n\nb,1,x,0,s\n', 5)]:
+        for fn in (parse_table, scan_table):
+            with pytest.raises(ParseError) as info:
+                fn(text, "csv")
+            assert info.value.line == line, text
 
 
 def test_parse_rejects_duplicates():
@@ -161,7 +167,12 @@ def _reference_parse(text: str, fmt: str) -> list[GroupTableRow]:
     duplicate keys checked after, so a malformed row anywhere wins."""
     rows = []
     if fmt == "csv":
-        for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+        reader = csv.reader(io.StringIO(text))
+        while True:
+            line_no = reader.line_num + 1  # the line the next record starts on
+            record = next(reader, None)
+            if record is None:
+                break
             if not record:
                 continue
             if len(record) != 5:
@@ -210,7 +221,7 @@ def _reference_parse(text: str, fmt: str) -> list[GroupTableRow]:
 
 def _csv_table(rng: random.Random) -> str:
     bad = rng.random() < 0.5  # half the tables hold malformed rows
-    names = ["a", "b", "x,y", ' q"uote', "r"] if rng.random() < 0.5 else None
+    names = ["a", "b", "x,y", ' q"uote', "r\ns"] if rng.random() < 0.5 else None  # a quoted newline too
     lines = []
     for i in range(rng.randint(0, 25)):
         name = rng.choice(names) if names else f"r{i}"
@@ -223,8 +234,8 @@ def _csv_table(rng: random.Random) -> str:
         if bad and rng.random() < 0.05:
             fields = fields[: rng.randint(1, 4)] if rng.random() < 0.5 else fields + ["extra"]
         out = io.StringIO()
-        csv.writer(out, lineterminator="").writerow(fields)
-        lines.append(out.getvalue())
+        csv.writer(out, lineterminator="\n").writerow(fields)  # "\n" in a field is quoted, as it is in lineterminator
+        lines.append(out.getvalue()[:-1])
         if rng.random() < 0.1:
             lines.append("")
     if bad and lines and rng.random() < 0.3:  # a duplicate, then a malformed row after it
