@@ -2,6 +2,9 @@
 
 Each command computes one JSON-ready record; `--json` prints the record
 and the plain text is rendered from it, so the two cannot disagree.
+The parser needs `realize` (for the model names); the commands that use
+`algebra`, `catalog` or `scan` import them, so a command loads only the
+modules its record needs.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 scan violations.
 """
@@ -13,15 +16,9 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import catalog, realize, scan
-from .algebra import (
-    Presentation,
-    eval_expr,
-    presentation_from_json,
-    transport_check,
-)
+from . import realize
 from .cocycles import (
     check_cocycle_identity,
     cochain_to_json,
@@ -43,6 +40,9 @@ from .conventions import (
 )
 from .errors import MotsignError, ParseError
 from .units import CoefMode, parse_bidegree, parse_unit
+
+if TYPE_CHECKING:
+    from .algebra import Presentation
 
 __all__ = ["main"]
 
@@ -148,6 +148,9 @@ def _resolve_convention(token: str, mode: CoefMode | None) -> Convention:
 
 
 def _resolve_presentation(token: str) -> Presentation:
+    from . import catalog
+    from .algebra import presentation_from_json
+
     if token == "catalog":
         return catalog.universal_presentation(include_tau=False)
     if token in ("catalog-tau", "catalog+tau"):
@@ -230,6 +233,8 @@ def _cmd_classes(args: argparse.Namespace) -> dict:
 
 
 def _cmd_eval(args: argparse.Namespace) -> dict:
+    from .algebra import eval_expr
+
     conv = _resolve_convention(args.convention, _mode(args))
     pres = _resolve_presentation(args.pres)
     element = eval_expr(args.expr, conv, pres)
@@ -244,6 +249,8 @@ def _cmd_eval(args: argparse.Namespace) -> dict:
 
 
 def _cmd_transport(args: argparse.Namespace) -> dict:
+    from .algebra import transport_check
+
     mode = _mode(args)
     conv_from = _resolve_convention(args.conv_from, mode)
     conv_to = _resolve_convention(args.conv_to, mode)
@@ -277,12 +284,16 @@ def _cmd_realize(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> dict:
+    from . import catalog
+
     rows = catalog.sensitivity_table(catalog.universal_presentation(include_tau=args.with_tau))
     pairs = [{**asdict(row), "factor": str(row.factor)} for row in rows]
     return {"command": "sensitivity", "with_tau": args.with_tau, "pairs": pairs}
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
+    from . import scan
+
     if args.table == "sample":
         rows = scan.load_sample_table()
         count, violations = len(rows), scan.check_conjecture(rows)

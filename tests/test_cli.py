@@ -389,3 +389,47 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+# Runs main on argv in a fresh interpreter and prints, as JSON, the motsign
+# submodules loaded by `import motsign` alone, main's exit code, and the
+# submodules loaded once main has returned.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("motsign."))
+import motsign
+bare = loaded()
+import motsign.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = motsign.cli.main(sys.argv[1:])
+print(json.dumps([bare, code, loaded()]))
+"""
+# the modules only some commands need: the parser itself loads realize and
+# what realize imports, never these
+_ON_DEMAND = {"motsign.algebra", "motsign.catalog", "motsign.scan"}
+_ALGEBRA = {"motsign.algebra", "motsign.catalog"}
+
+
+@pytest.mark.parametrize("argv, on_demand", [
+    pytest.param(["commute", "--convention", "epsilon", "--deg-a", "0,-1", "--deg-b", "3,2"], set(), id="commute"),
+    pytest.param(["cocycle", "check", "--u", "eps"], set(), id="cocycle-check"),
+    pytest.param(["cocycle", "class", "--u", "eps"], set(), id="cocycle-class"),
+    pytest.param(["cocycle", "ratio", "--from", "reference", "--to", "epsilon"], set(), id="cocycle-ratio"),
+    pytest.param(["classes", "--units", "full"], set(), id="classes"),
+    pytest.param(["realize", "--model", "betti"], set(), id="realize"),
+    pytest.param(["scan", "--table", "sample"], {"motsign.scan"}, id="scan"),
+    pytest.param(["eval", "--pres", "catalog-tau", "tau*nu"], _ALGEBRA, id="eval"),
+    pytest.param(["transport", "--pres", "catalog-tau", "--from", "reference", "--to", "epsilon", "tau*nu"],
+                 _ALGEBRA, id="transport"),
+    pytest.param(["sensitivity"], _ALGEBRA, id="sensitivity"),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, on_demand):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    bare, code, loaded = json.loads(proc.stdout)
+    assert bare == []
+    assert code == 0
+    assert _ON_DEMAND & set(loaded) == on_demand
