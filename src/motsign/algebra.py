@@ -651,10 +651,19 @@ class AddExpr(Expr):
     terms: tuple[Expr, ...]  # a difference is a NegExpr term
 
 
-# an operator token is known by its text alone; bad is any stray character, non-ASCII ones too
+# an operator token is known by its text alone; bad is any stray character, non-ASCII ones too;
+# end takes trailing whitespace whole, which a failed match would rescan from each character
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^])|(?P<bad>\S))", re.ASCII
+    rf"\s*(?:(?P<int>\d+)|(?P<run>{_NAME}(?:\s*\*\s*{_NAME})+)(?![A-Za-z0-9_]|\s*\^)|(?P<name>{_NAME})"
+    r"|(?P<op>[+\-*()^])|(?P<bad>\S)|(?P<end>\Z))", re.ASCII
 )
+
+
+class _Names(dict):  # one node per distinct name, made on first lookup
+    def __missing__(self, name: str) -> NameExpr:
+        node = self[name] = NameExpr(name)
+        return node
 
 
 def _int_literal(digits: str, col: int) -> int:
@@ -668,16 +677,18 @@ def parse_expression(text: str) -> Expr:
     """Parse an expression over generator names, eps, integers, *, +, -,
     parentheses, and postfix powers g^n of a name or integer.
 
-    A `ParseError` column is the 1-based position of the offending token;
-    a missing token is placed one past the end of the text."""
+    A run of names joined by `*`, none raised to a power, is one token whose
+    names join the product around it, and a unary minus binds its first name
+    only; equal names share one node.  A `ParseError` column is the 1-based
+    position of the offending token (of a run, its first name); a missing
+    token is placed one past the end of the text."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {match[kind]!r}", column=match.start(kind) + 1)
         tokens.append((kind, match[kind], match.start(kind) + 1))
-    tokens.append(("end", "", len(text) + 1))
-    pos = depth = 0
+    pos, depth, names = 0, 0, _Names()
 
     def expr() -> Expr:
         nonlocal pos
@@ -689,47 +700,52 @@ def parse_expression(text: str) -> Expr:
 
     def term() -> Expr:
         nonlocal pos
-        factors = [factor()]
+        factor(factors := [])
         while tokens[pos][1] == "*":
             pos += 1
-            factors.append(factor())
+            factor(factors)
         return MulExpr(tuple(factors)) if len(factors) > 1 else factors[0]
 
-    def factor() -> Expr:
+    def factor(out: list[Expr]) -> None:  # appends its node, or a run's nodes
         nonlocal pos, depth
         kind, value, col = tokens[pos]
         pos += 1
+        if kind == "run":
+            return out.extend(map(names.__getitem__, "".join(value.split()).split("*")))
         if value in ("-", "("):
             depth += 1
             if depth > MAX_NESTING:
                 raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", column=col)
-            node = NegExpr(factor()) if value == "-" else expr()
-            if value == "(":
+            if value == "-":  # binds only the first node its operand yields
+                factor(nodes := [])
+                out += NegExpr(nodes[0]), *nodes[1:]
+            else:
+                out.append(expr())
                 if tokens[pos][1] != ")":
                     raise ParseError("expected ')'", column=tokens[pos][2])
                 pos += 1
             depth -= 1
-            return node
+            return
         if kind == "int":
             node = IntExpr(_int_literal(value, col))
         elif kind == "name":
-            node = NameExpr(value)
+            node = names[value]
         else:
             raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", column=col)
-        if tokens[pos][1] != "^":
-            return node
-        kind, value, col = tokens[pos + 1]
-        pos += 2
-        n = _int_literal(value, col) if kind == "int" else 0
-        if not 1 <= n <= MAX_EXPONENT:
-            raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
-        return MulExpr((node,) * n) if n > 1 else node
+        if tokens[pos][1] == "^":
+            kind, value, col = tokens[pos + 1]
+            pos += 2
+            n = _int_literal(value, col) if kind == "int" else 0
+            if not 1 <= n <= MAX_EXPONENT:
+                raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
+            node = MulExpr((node,) * n) if n > 1 else node
+        out.append(node)
 
     try:
         node = expr()
         kind, value, col = tokens[pos]
         if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", column=col)
+            raise ParseError(f"unexpected token {value.split('*')[0].rstrip()!r}", column=col)  # a run: its first name
         return node
     finally:
         # the three hold one another in closure cells: free them now, not by the cycle collector
@@ -754,8 +770,9 @@ def eval_expr(expr: Expr | str, conv: Convention, pres: Presentation) -> Element
     if isinstance(expr, NegExpr):
         return scalar_mul(-1, eval_expr(expr.child, conv, pres), conv, pres)
     if isinstance(expr, MulExpr) and expr.factors:
-        # a generator leaf enters the product as its index
-        factors = (pres.index(e.name) if type(e) is NameExpr and e.name != "eps" else eval_expr(e, conv, pres)
+        # a generator leaf enters the product as its index; eps and unknown names take the leaf path
+        index = pres._index
+        factors = (index[e.name] if type(e) is NameExpr and e.name in index else eval_expr(e, conv, pres)
                    for e in expr.factors)
         return _product(factors, conv, pres)
     if not (isinstance(expr, AddExpr) and expr.terms):

@@ -242,6 +242,10 @@ def test_parse_error_column_is_the_offending_token():
         "2*eta^ x": "exponent must be an integer from 1 to 1000 (column 8)",
         "(eta\t x": "expected ')' (column 7)",
         "eta *  ": "unexpected end of input (column 8)",
+        # a run of names is one token, reported at and by its first name
+        "eta  nu*tau": "unexpected token 'nu' (column 6)",
+        "(eta nu \t* tau)": "expected ')' (column 6)",
+        "eta^nu*tau": "exponent must be an integer from 1 to 1000 (column 5)",
         # digits and whitespace are ASCII only
         "\u0663*eta": "unexpected character '\u0663' (column 1)",
         "eta\u3000*nu": "unexpected character '\\u3000' (column 4)",
@@ -1129,6 +1133,169 @@ def test_one_node_per_product_and_per_sum():
     assert parse_expression("a*(a*b)*b") == algebra.MulExpr((a, algebra.MulExpr((a, b)), b))
     assert parse_expression("-a^2") == algebra.NegExpr(algebra.MulExpr((a, a)))
     assert parse_expression("(a)") == parse_expression("a^1") == a
+    # a run of names splices into the product; a unary minus binds its first name
+    c = algebra.NameExpr("c")
+    assert parse_expression("-a*b") == algebra.MulExpr((algebra.NegExpr(a), b))
+    assert parse_expression("a * b\t*\nc^2") == algebra.MulExpr((a, b, algebra.MulExpr((c, c))))
+    tree = parse_expression("a*b*(a*c)*a*2")
+    assert tree.factors[0] is tree.factors[2].factors[0] is tree.factors[3]  # one node per distinct name
+
+
+# ---------- a run of names read as one token ----------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*()^])|(?P<bad>\S))", re.ASCII
+)
+
+
+def _reference_parse(text):
+    """The parser before runs were read as one token: one token per name,
+    one `factor()` call per factor, and a new node per name."""
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", column=match.start(kind) + 1)
+        tokens.append((kind, match[kind], match.start(kind) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    pos = depth = 0
+
+    def expr():
+        nonlocal pos
+        terms = [term()]
+        while (op := tokens[pos][1]) in ("+", "-"):
+            pos += 1
+            terms.append(term() if op == "+" else algebra.NegExpr(term()))
+        return algebra.AddExpr(tuple(terms)) if len(terms) > 1 else terms[0]
+
+    def term():
+        nonlocal pos
+        factors = [factor()]
+        while tokens[pos][1] == "*":
+            pos += 1
+            factors.append(factor())
+        return algebra.MulExpr(tuple(factors)) if len(factors) > 1 else factors[0]
+
+    def factor():
+        nonlocal pos, depth
+        kind, value, col = tokens[pos]
+        pos += 1
+        if value in ("-", "("):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", column=col)
+            node = algebra.NegExpr(factor()) if value == "-" else expr()
+            if value == "(":
+                if tokens[pos][1] != ")":
+                    raise ParseError("expected ')'", column=tokens[pos][2])
+                pos += 1
+            depth -= 1
+            return node
+        if kind == "int":
+            node = algebra.IntExpr(algebra._int_literal(value, col))
+        elif kind == "name":
+            node = algebra.NameExpr(value)
+        else:
+            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", column=col)
+        if tokens[pos][1] != "^":
+            return node
+        kind, value, col = tokens[pos + 1]
+        pos += 2
+        n = algebra._int_literal(value, col) if kind == "int" else 0
+        if not 1 <= n <= MAX_EXPONENT:
+            raise ParseError(f"exponent must be an integer from 1 to {MAX_EXPONENT}", column=col)
+        return algebra.MulExpr((node,) * n) if n > 1 else node
+
+    node = expr()
+    kind, value, col = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"unexpected token {value!r}", column=col)
+    return node
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.column
+
+
+# names that share prefixes and glue into longer names, eps, operators,
+# digits and ASCII whitespace
+SOUP_NAMES = ["e", "et", "eta", "eta_top", "nu", "nu2", "eps", "_x"]
+SOUP_STARS = ["*", " * ", "*\t", "\n*  "]
+SOUP = SOUP_NAMES + SOUP_STARS + ["^", "2", "10", "0", "-", "(", ")", "+", " ", "  ", "\t", "\n"]
+
+
+def _soup_text(rng):
+    """Mostly a name and a star in turn, so that runs are common, with any
+    soup token in between."""
+    pools = (SOUP_NAMES, SOUP_STARS)
+    return "".join(rng.choice(SOUP if rng.random() < 0.4 else pools[k % 2]) for k in range(rng.randint(0, 14)))
+
+
+def _run_columns(text):
+    return [m.start("run") + 1 for m in algebra._TOKEN_RE.finditer(text) if m.lastgroup == "run"]
+
+
+def test_runs_parse_as_the_reference_parser_does():
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(30000):
+        text = _soup_text(rng)
+        want = _parsed(_reference_parse, text)
+        assert _parsed(parse_expression, text) == want, text
+        columns = _run_columns(text)
+        seen["run"] += bool(columns)
+        seen["tree"] += type(want) is not tuple
+        seen["error at a run"] += type(want) is tuple and want[1] in columns
+        seen["minus before a run"] += any(text[: col - 1].rstrip().endswith("-") for col in columns)
+    assert seen["run"] > 10000 and seen["tree"] > 4000, seen
+    assert seen["error at a run"] > 1000 and seen["minus before a run"] > 300, seen
+
+
+# a name-like and a star-like token in turn, as in _soup_text, a name often after a minus
+SOUP_PAIRS = st.tuples(
+    st.sampled_from(["", "", "-"]), st.sampled_from(SOUP_NAMES + SOUP), st.sampled_from(SOUP_STARS + SOUP)
+).map("".join)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(SOUP_PAIRS, max_size=6).map("".join), st.sampled_from(SOUP_NAMES + SOUP))
+def test_runs_parse_as_the_reference_parser_does_on_drawn_soup(text, last):
+    text += last
+    assert _parsed(parse_expression, text) == _parsed(_reference_parse, text)
+
+
+def test_hostile_runs_parse_to_the_same_trees():
+    # long runs ending in a power or padded with whitespace are read in one
+    # pass each; a lookahead that backtracked badly would make them quadratic
+    eta, a, b = algebra.NameExpr("eta"), algebra.NameExpr("a"), algebra.NameExpr("b")
+    n = 10**5
+    want = algebra.MulExpr((eta,) * (n - 1) + (algebra.MulExpr((eta, eta)),))
+    assert parse_expression(" * ".join(["eta"] * n) + "^2") == want
+    assert parse_expression("a*" + " " * n + "b^2") == algebra.MulExpr((a, algebra.MulExpr((b, b))))
+    # trailing whitespace is one token too, not rescanned from each character
+    assert parse_expression("a*b" + " \t\n" * n) == algebra.MulExpr((a, b))
+    with pytest.raises(ParseError) as info:
+        parse_expression("a*" + " " * n)
+    assert str(info.value) == f"unexpected end of input (column {n + 3})"
+
+
+def test_names_resolve_in_one_pass_with_errors_in_order():
+    with pytest.raises(MotsignError, match=r"^unknown generator: 'theta'$"):
+        eval_expr("eta*theta*omega", REF, CATALOG)
+    with pytest.raises(MotsignError, match=r"^unknown generator: 'theta'$"):
+        eval_expr("eta*theta*(nu*omega)", REF, CATALOG)
+    with pytest.raises(MotsignError, match=r"^unknown generator: 'omega'$"):
+        eval_expr("eta*(nu*omega)*theta", REF, CATALOG)
+    # eps inside a run is the scalar, not a generator
+    text = "eps*eta*eps*nu"
+    expr = parse_expression(text)
+    for preset in PRESETS:
+        for mode in ALL_MODES:
+            conv = convention(preset.name, mode)
+            assert eval_expr(text, conv, CATALOG) == _pairwise_eval(expr, conv, CATALOG), (preset.name, mode)
 
 
 # ---------- user-named presentations render and parse back ----------
