@@ -3,13 +3,17 @@
 Every cohomology class of Z x Z with coefficients in an elementary
 abelian 2-group has a bilinear representative, so the exact objects here
 are bilinear forms (and quadratic cochains for their coboundaries);
-arbitrary pair functions are only ever checked on finite grids.
+arbitrary pair functions are only ever checked on finite grids.  A
+quadratic cochain's value depends on a bidegree only mod 4, so it is read
+from a table of its 16 residue classes; a grid check builds each grid
+point's Bidegree once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Callable, Iterable
 
 from .errors import ParseError
@@ -52,6 +56,9 @@ class BilinearCocycle:
     m21: Unit
     m22: Unit
 
+    def __post_init__(self) -> None:
+        _check_units(self)
+
     def __call__(self, a: Bidegree, b: Bidegree) -> Unit:
         e11, e12, e21, e22 = a.p * b.p, a.p * b.q, a.q * b.p, a.q * b.q
         s = self.m11.s * e11 + self.m12.s * e12 + self.m21.s * e21 + self.m22.s * e22
@@ -68,6 +75,14 @@ class BilinearCocycle:
 
     def is_trivial(self) -> bool:
         return self == TRIVIAL_COCYCLE
+
+
+def _check_units(record: BilinearCocycle | QuadraticCochain) -> None:
+    """Raise TypeError unless every field of a just-built record is a Unit."""
+    for field in fields(record):  # not vars(): building the instance dict slows every field read
+        value = getattr(record, field.name)
+        if not isinstance(value, Unit):
+            raise TypeError(f"{type(record).__name__}.{field.name} must be a Unit, got {value!r}")
 
 
 TRIVIAL_COCYCLE = BilinearCocycle(ONE, ONE, ONE, ONE)
@@ -89,12 +104,24 @@ class QuadraticCochain:
     c11: Unit
     c22: Unit
 
+    def __post_init__(self) -> None:
+        _check_units(self)
+        # bit i of s and t: the bits of beta at residue i; the table of its
+        # 16 values sits outside the fields, so out of ==, hash and repr
+        s = t = 0
+        for u, odd in zip((self.c1, self.c2, self.c12, self.c11, self.c22), _ODD_EXPONENTS):
+            s, t = s ^ odd * u.s, t ^ odd * u.t
+        object.__setattr__(self, "_table", tuple(_unit(s >> i, t >> i) for i in range(16)))
+
     def __call__(self, a: Bidegree) -> Unit:
-        e11 = a.p * (a.p - 1) // 2
-        e22 = a.q * (a.q - 1) // 2
-        s = self.c1.s * a.p + self.c2.s * a.q + self.c12.s * (a.p * a.q) + self.c11.s * e11 + self.c22.s * e22
-        t = self.c1.t * a.p + self.c2.t * a.q + self.c12.t * (a.p * a.q) + self.c11.t * e11 + self.c22.t * e22
-        return _unit(s, t)
+        return self._table[(a.p & 3) << 2 | a.q & 3]  # & 3 is mod 4, negatives too
+
+
+# Bit (p mod 4) * 4 + q mod 4 of each mask: whether the exponent of c1, c2,
+# c12, c11, c22 at (p, q) is odd.  p, q and pq need p and q mod 2 only, and
+# C(p, 2) needs p mod 4, since C(p + 4, 2) - C(p, 2) = 4p + 6.
+_EXPONENTS = [(p, q, p * q, p * (p - 1) // 2, q * (q - 1) // 2) for p in range(4) for q in range(4)]
+_ODD_EXPONENTS = [sum((exps[k] & 1) << i for i, exps in enumerate(_EXPONENTS)) for k in range(5)]
 
 
 def coboundary(beta: QuadraticCochain) -> BilinearCocycle:
@@ -140,17 +167,16 @@ def parity_classes(grid: Iterable[int]) -> list[Bidegree]:
 
 
 class _PairTable(dict):
-    """The bits s << 1 | t of f(a, b), keyed a * n*n + b, where the point
-    (p, q) is numbered (p - lo) * n + (q - lo); f is called on a key's
-    first lookup only, so the table holds just the pairs looked up."""
+    """The bits s << 1 | t of f(a, b), keyed a * nn + b for point numbers
+    a and b; f is called on a key's first lookup only, so the table holds
+    just the pairs looked up, with point(x) the Bidegree numbered x."""
 
-    def __init__(self, f: Callable[[Bidegree, Bidegree], Unit], lo: int, n: int):
-        self.f, self.lo, self.n = f, lo, n
+    def __init__(self, f: Callable[[Bidegree, Bidegree], Unit], point: Callable[[int], Bidegree], nn: int):
+        self.f, self.point, self.nn = f, point, nn
 
     def __missing__(self, key: int) -> int:
-        lo, n = self.lo, self.n
-        a, b = divmod(key, n * n)
-        unit = self.f(Bidegree(a // n + lo, a % n + lo), Bidegree(b // n + lo, b % n + lo))
+        a, b = divmod(key, self.nn)
+        unit = self.f(self.point(a), self.point(b))
         if not isinstance(unit, Unit):
             raise TypeError(f"cocycle check: f returned {unit!r}, not a Unit")
         bits = self[key] = unit.s << 1 | unit.t
@@ -186,7 +212,8 @@ def check_cocycle_identity(
     n = hi - lo + 1
     nn, shift = n * n, lo * (n + 1)
     index = [(p - lo) * n + q - lo for p in points for q in points]
-    table = _PairTable(f, lo, n)
+    point = cache(lambda x: Bidegree(x // n + lo, x % n + lo))  # one Bidegree per point
+    table = _PairTable(f, point, nn)
     for u in index:
         for v in index:
             # key prefixes of the pairs (u + v, w), (v, w) and (u, v + w)
@@ -194,7 +221,7 @@ def check_cocycle_identity(
             t_uv = table[u * nn + v]
             for w in index:
                 if table[uv_ + w] ^ t_uv != table[v_ + w] ^ table[u_v + w]:
-                    return CocycleCheck(False, tuple(Bidegree(x // n + lo, x % n + lo) for x in (u, v, w)))
+                    return CocycleCheck(False, (point(u), point(v), point(w)))
     return CocycleCheck(True, None)
 
 

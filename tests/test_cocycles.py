@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from motsign import (
     ParseError,
     QuadraticCochain,
     UNITS,
+    Unit,
     UnitSubgroup,
     antisymmetrization,
     check_cocycle_identity,
@@ -336,3 +340,103 @@ def test_parity_classes_reads_ranges_like_the_walk():
 def test_check_identity_rejects_non_unit_values():
     with pytest.raises(TypeError, match=r"\(0, 1\)"):
         check_cocycle_identity(lambda a, b: (0, 1), range(-1, 2))
+
+
+def _cochain_reference(beta: QuadraticCochain, a: Bidegree) -> Unit:
+    """Oracle: the closed formula, with whole exponents, that beta was
+    evaluated by before it read a table of residues mod 4."""
+    e11 = a.p * (a.p - 1) // 2
+    e22 = a.q * (a.q - 1) // 2
+    s = beta.c1.s * a.p + beta.c2.s * a.q + beta.c12.s * (a.p * a.q) + beta.c11.s * e11 + beta.c22.s * e22
+    t = beta.c1.t * a.p + beta.c2.t * a.q + beta.c12.t * (a.p * a.q) + beta.c11.t * e11 + beta.c22.t * e22
+    return Unit(s, t)
+
+
+def test_residue_table_matches_closed_formula():
+    # beta(a) is read from its 16 residues mod 4; C(p, 2) mod 2 needs p mod 4
+    points = [Bidegree(p, q) for p in range(-9, 10) for q in range(-9, 10)]
+    for beta in ALL_COCHAINS:
+        assert [beta(a) for a in points] == [_cochain_reference(beta, a) for a in points], beta
+
+
+def test_residue_table_is_invisible():
+    beta = QuadraticCochain(MINUS_ONE, EPS, MINUS_EPS, ONE, EPS)
+    values = (MINUS_ONE, EPS, MINUS_EPS, ONE, EPS)
+    assert [f.name for f in dataclasses.fields(QuadraticCochain)] == ["c1", "c2", "c12", "c11", "c22"]
+    assert all(f.type == "Unit" for f in dataclasses.fields(QuadraticCochain))
+    assert beta == QuadraticCochain(*values) and beta != QuadraticCochain(ONE, *values[1:])
+    assert hash(beta) == hash(values)
+    assert repr(beta) == (
+        "QuadraticCochain(c1=Unit(s=1, t=0), c2=Unit(s=0, t=1), c12=Unit(s=1, t=1), c11=Unit(s=0, t=0), "
+        "c22=Unit(s=0, t=1))"
+    )
+    assert cochain_to_json(beta) == {"c1": "-1", "c2": "eps", "c12": "-eps", "c11": "1", "c22": "eps"}
+    points = [Bidegree(p, q) for p in range(-5, 6) for q in range(-5, 6)]
+    replaced = dataclasses.replace(beta, c11=MINUS_ONE)
+    assert replaced == QuadraticCochain(MINUS_ONE, EPS, MINUS_EPS, MINUS_ONE, EPS)
+    assert [replaced(a) for a in points] == [_cochain_reference(replaced, a) for a in points]
+    for twin in (copy.deepcopy(beta), pickle.loads(pickle.dumps(beta)), copy.copy(beta)):
+        assert twin == beta and hash(twin) == hash(beta) and repr(twin) == repr(beta)
+        assert [twin(a) for a in points] == [beta(a) for a in points]
+
+
+def test_records_refuse_non_unit_fields():
+    # a record of ints would pass a check unscanned and answer in ints
+    with pytest.raises(TypeError, match=r"BilinearCocycle\.m11 must be a Unit, got 1$"):
+        BilinearCocycle(1, 1, 1, 1)
+    with pytest.raises(TypeError, match=r"BilinearCocycle\.m22 must be a Unit, got None$"):
+        BilinearCocycle(ONE, EPS, ONE, None)
+    with pytest.raises(TypeError, match=r"QuadraticCochain\.c1 must be a Unit, got '1'$"):
+        QuadraticCochain("1", ONE, ONE, ONE, ONE)
+    with pytest.raises(TypeError, match=r"QuadraticCochain\.c22 must be a Unit, got \(0, 1\)$"):
+        QuadraticCochain(ONE, ONE, ONE, ONE, (0, 1))
+    with pytest.raises(TypeError, match=r"QuadraticCochain\.c12"):
+        dataclasses.replace(QuadraticCochain(*UNITS, ONE), c12=-1)
+    good = {"m11": "1", "m12": "-1", "m21": "eps", "m22": "-eps"}
+    for bad in ({**good, "m11": 1}, {**good, "m21": "2"}, {**good, "m22": None}, ["1", "1", "1", "1"]):
+        with pytest.raises(ParseError):
+            cocycle_from_json(bad)
+    chain = {"c1": "1", "c2": "1", "c12": "eps", "c11": "1", "c22": "-1"}
+    for bad in ({**chain, "c1": 1}, {**chain, "c22": "-2"}, {k: chain[k] for k in ("c1", "c2")}, "1"):
+        with pytest.raises(ParseError):
+            cochain_from_json(bad)
+    assert cocycle_from_json(good) == BilinearCocycle(ONE, MINUS_ONE, EPS, MINUS_EPS)
+    assert cochain_from_json(chain) == QuadraticCochain(ONE, ONE, EPS, ONE, MINUS_ONE)
+
+
+def test_check_builds_each_grid_point_once():
+    # range(-1, 2): arguments range over [-2, 2]^2, 25 points, in 369
+    # distinct pairs (225 (u + v, w), 225 (u, v + w), 81 of them in both)
+    beta = QuadraticCochain(EPS, MINUS_ONE, MINUS_EPS, EPS, MINUS_ONE)
+    calls = []
+
+    def f(a, b):
+        calls.append((a, b))
+        return beta(a) * beta(b) * beta(a + b)
+
+    result = check_cocycle_identity(f, range(-1, 2))
+    assert (result.holds, result.witness) == (True, None)
+    assert len(calls) == len(set(calls)) == 369
+    args = [x for pair in calls for x in pair]
+    # as many objects as values: equal points are one object, built once
+    assert len({id(x) for x in args}) == len(set(args)) <= 25
+
+
+def test_interned_check_decides_like_the_scan():
+    grid = range(-1, 2)
+    for beta in ALL_COCHAINS:
+        result = check_cocycle_identity(lambda a, b, beta=beta: beta(a) * beta(b) * beta(a + b), grid)
+        assert (result.holds, result.witness) == (True, None), beta
+    rng = random.Random(2023)
+    span = [Bidegree(p, q) for p in range(-2, 3) for q in range(-2, 3)]
+    failing = 0
+    for _ in range(20):
+        spike, unit = tuple(rng.choices(span, k=2)), rng.choice(UNITS[1:])
+
+        def f(a, b, spike=spike, unit=unit):
+            return unit if (a, b) == spike else ONE
+
+        result = check_cocycle_identity(f, grid)
+        assert (result.holds, result.witness) == _scan_reference(f, grid), spike
+        failing += not result.holds
+    assert 0 < failing < 20

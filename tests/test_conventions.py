@@ -180,3 +180,36 @@ def test_custom_convention_commutation():
     ref = convention("reference")
     for a, b in itertools.product(GRID[::6], GRID[::6]):
         assert commutation_unit(conv, a, b) == commutation_unit(ref, a, b)
+
+
+def _circle_shuffle(a: Bidegree, b: Bidegree, u) -> object:
+    """Oracle: the unit w with x y = y x w, by moving circles one swap at a time.
+
+    A class of degree (p, q), p >= q >= 0, is p - q simplicial circles "s"
+    and q weight circles "w". Each of x's circles, the last first, moves
+    past every circle of y by adjacent swaps: s past s charges -1, w past w
+    charges eps, and w past s (either way round) charges the convention's
+    unit u. Only this unit level with nonnegative degrees is covered; a
+    negative degree (the inverse of the circle model) and whole words of
+    circles are not.
+    """
+    charge = {("s", "s"): MINUS_ONE, ("w", "w"): EPS, ("s", "w"): u, ("w", "s"): u}
+    line = ["s"] * (a.p - a.q) + ["w"] * a.q + ["s"] * (b.p - b.q) + ["w"] * b.q
+    w = ONE
+    for start in reversed(range(a.p)):  # x's circles sit at 0 .. a.p - 1
+        for i in range(start, start + b.p):
+            w = w * charge[line[i], line[i + 1]]
+            line[i], line[i + 1] = line[i + 1], line[i]
+    assert line == ["s"] * (b.p - b.q) + ["w"] * b.q + ["s"] * (a.p - a.q) + ["w"] * a.q
+    return w
+
+
+def test_commutation_matches_the_circle_shuffle():
+    degrees = [Bidegree(p, q) for p in range(5) for q in range(p + 1)]
+    assert len(degrees) == 15
+    for a, b in itertools.product(degrees, repeat=2):
+        assert base_commutation(a, b) == _circle_shuffle(a, b, ONE), (a, b)
+        for name, u in zip(PRESET_NAMES, (ONE, MINUS_ONE, EPS, MINUS_EPS)):
+            assert commutation_unit(convention(name, GENERIC), a, b) == _circle_shuffle(a, b, u), (name, a, b)
+        # units are their own inverses, so the ratio is a product
+        assert error_factor(a, b) == _circle_shuffle(a, b, EPS) * _circle_shuffle(a, b, ONE), (a, b)
