@@ -28,8 +28,11 @@ unit leading coefficient are instead applied as rewrite rules, replacing
 the leading monomial by the negated tail until a fixed point.  That loop
 runs on integer pairs, keeps its least-word-first order on a heap and shares
 the basis cache; a Coef is built only for each surviving term.  Without
-rules, a product chain is reduced once, at its end, and a run of generators
-in it is one word: one parity-mask pass and one sort per term (`_product`).
+rules, or with eps generic and rules that pass Buchberger's first criterion
+(leads on pairwise disjoint generators of even p and q, none of them in an
+annihilator word), a product chain is reduced and rewritten once, at its end,
+and a run of generators in it is one word: one parity-mask pass and one sort
+per term (`_product`).
 An expression has one node per product and one per sum; a parenthesised
 product stays one factor, so bracketing is kept where rules are not confluent.
 """
@@ -311,12 +314,24 @@ class Presentation:
         # relations are read as written, each on its own: no annihilator
         # reduction (the commutation law alone would turn (1-eps)*eta*eta
         # into zero) and no rewriting, since no rule exists until all are read
-        self._raw = True
+        self._raw = self._fold_raw = True
         relations = tuple(relations)
         elements = [eval_expr(rel, _REFERENCE, self) if isinstance(rel, str) else rel for rel in relations]
         self._raw = False
         for element in elements:
             self._classify_relation(element)
+        # Buchberger's first criterion: leads on pairwise disjoint generators
+        # make the rules confluent, and with no lead generator in an
+        # annihilator word nor one that self-annihilates (p and q even),
+        # ann(lead * r) = ann(r) lies in ann(tail * r); then a chain may be
+        # rewritten once, at its end, as it is without rules (_product)
+        leads = [set(rule.lead) for rule in self._rules]
+        lead_gens = set().union(*leads)
+        self._fold_raw = (
+            sum(map(len, leads)) == len(lead_gens)
+            and not any(lead_gens.intersection(word) for word, _ in self._ann_entries)
+            and all(self._self_ann[i].is_zero() for i in lead_gens)
+        )
         self.relations = tuple(elements)
         self.relation_strings = tuple(rel if isinstance(rel, str) else rel.render(self) for rel in relations)
 
@@ -423,10 +438,14 @@ class Presentation:
 # ---------- element assembly ----------
 
 
-def _assemble(raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pres: Presentation) -> Element:
+def _assemble(
+    raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pres: Presentation, limit: int | None = None
+) -> Element:
     """Reduce and rewrite raw terms of the caller's bidegree; rules are homogeneous.
-    Coefficients run as pairs (a, b) for a + b*eps until the result is built."""
+    Coefficients run as pairs (a, b) for a + b*eps until the result is built.
+    A fixed point must come within limit rewrites (default MAX_REWRITE_PASSES)."""
     mode, reduce_pair = conv.mode, pres._reduce
+    limit = MAX_REWRITE_PASSES if limit is None else limit
     terms: dict[Monomial, tuple[int, int]] = {}
     for monomial, coef in raw.items():
         pair = reduce_pair(monomial, coef.a, coef.b, mode)
@@ -449,10 +468,8 @@ def _assemble(raw: dict[Monomial, Coef], degree: Bidegree, conv: Convention, pre
             else:
                 continue
             passes += 1
-            if passes > MAX_REWRITE_PASSES:
-                raise RewriteLimitError(
-                    f"no fixed point after {MAX_REWRITE_PASSES} rewrite passes"
-                )
+            if passes > limit:
+                raise RewriteLimitError(f"no fixed point after {limit} rewrite passes")
             a, b = terms.pop(monomial)
             for new_monomial, a, b in _apply_rule(rest, a, b, rule, pres):
                 old = terms.get(new_monomial)
@@ -513,12 +530,17 @@ def normalize(word: Sequence[str | int], conv: Convention, pres: Presentation) -
 
 def _product(factors: Iterable["Element | int"], conv: Convention, pres: Presentation) -> Element:
     """Left fold of the product over the factors, in order, an int standing
-    for that generator.  Without rewrite rules, raw terms are folded, each
-    run of generators as one word (`_times_word`), and assembled once at
-    the end: exact, since a word's annihilator ideal lies in that of each
-    multiple of it and `specialize` is a ring homomorphism.  With rules,
-    each factor and partial product is assembled for rewriting."""
-    deferred = not pres._rules
+    for that generator.  Where `Presentation._fold_raw` holds (no rules, or
+    rules on coprime leads that keep off the annihilators) and, with rules,
+    eps is generic, raw terms are folded, each run of generators as one word
+    (`_times_word`), and assembled once at the end, with the rewrite passes
+    of one assembly per factor: exact, since a word's annihilator ideal lies
+    in that of each multiple of it, `specialize` is a ring homomorphism and
+    the rules are confluent.  Otherwise each factor and partial product is
+    assembled for rewriting, so the bracketing stays in the answer: a
+    specialized eps leaves a generic annihilator such as 1 - eps unapplied,
+    and with it the confluence of the rules."""
+    deferred, count = pres._fold_raw and (not pres._rules or conv.mode.eps == "generic"), 0
     x, run = None, []
     for y in factors:
         if type(y) is int:  # a generator
@@ -526,6 +548,7 @@ def _product(factors: Iterable["Element | int"], conv: Convention, pres: Present
                 run.append(y)
                 continue
             y = _assemble({(y,): Coef(1)}, pres._degrees[y], conv, pres)
+        count += 1 + len(run)  # the factors so far
         if run:
             x, run = _times_word(x, run, conv, pres), []
         if x is None or x.is_zero or y.is_zero:
@@ -541,7 +564,9 @@ def _product(factors: Iterable["Element | int"], conv: Convention, pres: Present
         x = Element(tuple(raw.items()), degree) if deferred else _assemble(raw, degree, conv, pres)
     if run:
         x = _times_word(x, run, conv, pres)
-    return _assemble(dict(x.terms), x.degree, conv, pres) if deferred and x.terms else x
+    if deferred and x.terms:
+        return _assemble(dict(x.terms), x.degree, conv, pres, MAX_REWRITE_PASSES * (count + len(run)))
+    return x
 
 
 def _times_word(x: Element | None, run: list[int], conv: Convention, pres: Presentation) -> Element:

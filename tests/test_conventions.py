@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,18 +10,21 @@ from motsign import (
     Convention,
     EPS,
     GENERIC,
+    Generator,
     MINUS_EPS,
     MINUS_ONE,
     ModeMismatchError,
     ONE,
     ParseError,
     PRESET_NAMES,
+    Presentation,
     base_commutation,
     commutation_unit,
     convention,
     convention_from_json,
     convention_to_json,
     error_factor,
+    eval_expr,
     super_degree,
     twist_ratio,
     unit_twist,
@@ -189,9 +193,8 @@ def _circle_shuffle(a: Bidegree, b: Bidegree, u) -> object:
     and q weight circles "w". Each of x's circles, the last first, moves
     past every circle of y by adjacent swaps: s past s charges -1, w past w
     charges eps, and w past s (either way round) charges the convention's
-    unit u. Only this unit level with nonnegative degrees is covered; a
-    negative degree (the inverse of the circle model) and whole words of
-    circles are not.
+    unit u. Only nonnegative degrees are covered; a negative degree (the
+    inverse of the circle model) is not.
     """
     charge = {("s", "s"): MINUS_ONE, ("w", "w"): EPS, ("s", "w"): u, ("w", "s"): u}
     line = ["s"] * (a.p - a.q) + ["w"] * a.q + ["s"] * (b.p - b.q) + ["w"] * b.q
@@ -213,3 +216,46 @@ def test_commutation_matches_the_circle_shuffle():
             assert commutation_unit(convention(name, GENERIC), a, b) == _circle_shuffle(a, b, u), (name, a, b)
         # units are their own inverses, so the ratio is a product
         assert error_factor(a, b) == _circle_shuffle(a, b, EPS) * _circle_shuffle(a, b, ONE), (a, b)
+
+
+def _sorted_by_circle_shuffles(word, degrees):
+    """The sorted word and the unit of sorting it by adjacent swaps: x y =
+    y x w with w the circle shuffle of x's degree past y's."""
+    word, w = list(word), ONE
+    for end in reversed(range(len(word))):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                w = w * _circle_shuffle(degrees[word[i]], degrees[word[i + 1]], ONE)
+                word[i], word[i + 1] = word[i + 1], word[i]
+    return tuple(word), w
+
+
+def test_words_sort_by_the_circle_shuffle():
+    # word level, through the product fold, its runs and the twist columns:
+    # a word's coefficient is the unit of its circle-shuffle sort times the
+    # twist of each pair of letters in order (the twist is bilinear), reduced
+    # by the presentation; a parenthesised split must give the same.
+    # Degrees 0 <= q <= p <= 3 only: negative degrees stay uncovered.
+    rng = random.Random(113)
+    degrees = [Bidegree(p, q) for p in range(4) for q in range(p + 1)]
+    modes = [GENERIC, CoefMode("+1"), CoefMode("-1"), CoefMode("generic", 4), CoefMode("-1", 6)]
+    checked = 0
+    for relations in ([], ["2*a*b", "(1-eps)*c"], ["(1+eps)*d*d", "3*a*e"]):
+        gens = [Generator(name, rng.choice(degrees)) for name in "abcde"]
+        pres = Presentation(gens, relations)
+        for name, mode in itertools.product(PRESET_NAMES, modes):
+            conv = convention(name, mode)
+            for _ in range(12):
+                word = [rng.randrange(len(gens)) for _ in range(rng.randint(2, 5))]
+                ds = [gens[i].degree for i in word]
+                monomial, w = _sorted_by_circle_shuffles(word, pres._degrees)
+                for i, j in itertools.combinations(range(len(word)), 2):
+                    w = w * conv.twist(ds[i], ds[j])
+                coef = pres.reduce_coef(monomial, w.to_coef(), mode)
+                want = [] if coef.is_zero() else [(monomial, coef)]
+                names = [gens[i].name for i in word]
+                k = rng.randint(1, len(word) - 1)
+                for text in ("*".join(names), f"({'*'.join(names[:k])})*({'*'.join(names[k:])})"):
+                    assert list(eval_expr(text, conv, pres).terms) == want, (relations, text, conv)
+                checked += bool(want)
+    assert checked > 400
