@@ -27,12 +27,15 @@ relation never silently turns into integer torsion.  Relations with a
 unit leading coefficient are instead applied as rewrite rules, replacing
 the leading monomial by the negated tail until a fixed point.  That loop
 runs on integer pairs, keeps its least-word-first order on a heap and shares
-the basis cache; a Coef is built only for each surviving term.  Without
-rules, or with eps generic and rules that pass Buchberger's first criterion
-(leads on pairwise disjoint generators of even p and q, none of them in an
-annihilator word), a product chain is reduced and rewritten once, at its end,
-and a run of generators in it is one word: one parity-mask pass and one sort
-per term (`_product`).
+the basis cache; a Coef is built only for each surviving term.  Each pending
+word carries its packed exponent vector and two sign masks: divisibility is one
+guard-bit subtraction, a new word's data an addition and two XORs.  Its sorted
+tuple stays the key, as no packed order is the tuple order in which the heap
+pops and terms render.  Without rules, or with eps generic and rules that pass
+Buchberger's first criterion (leads on pairwise disjoint generators of even p
+and q, none of them in an annihilator word), a product chain is reduced and
+rewritten once, at its end, and a run of generators in it is one word: one
+parity-mask pass and one sort per term (`_product`).
 An expression has one node per product and one per sum; a parenthesised
 product stays one factor, so bracketing is kept where rules are not confluent.
 """
@@ -232,6 +235,12 @@ def _xor_over(table: tuple[int, ...], word: Monomial) -> int:
     return reduce(xor, map(table.__getitem__, word), 0)
 
 
+def _pack(word: Monomial, pres: "Presentation") -> tuple[int, int, int]:
+    """The word's packed exponent vector (field i counts generator i; see
+    Presentation._fields) and its two sign masks (see _merge_words)."""
+    return sum(map(pres._fields.__getitem__, word)), _xor_over(pres._s_above, word), _xor_over(pres._t_above, word)
+
+
 def _merge_words(m1: Monomial, m2: Monomial, pres: "Presentation") -> tuple[Monomial, Unit]:
     """Sorted union of two sorted words and the product of reference
     commutation units over strictly inverted cross pairs.
@@ -260,10 +269,11 @@ class _RewriteRule:
     lead: Monomial
     neg_lead_inv: Coef
     tail: tuple[tuple[Monomial, Coef], ...]
-    # per tail term (monomial, a, b, odd): a + b*eps is neg_lead_inv times its
-    # coefficient, odd the XOR of the lead's and its parity masks (bit i:
-    # generator i occurs an odd number of times); see _apply_rule
-    steps: tuple[tuple[Monomial, int, int, int], ...]
+    packed: tuple[int, int, int]  # the lead's packed vector and sign masks (see _pack)
+    # per tail term (monomial, a, b, odd, packed): a + b*eps is neg_lead_inv
+    # times its coefficient, odd the XOR of the lead's and its parity masks
+    # (bit i: generator i occurs an odd number of times); see _apply_rule
+    steps: tuple[tuple[Monomial, int, int, int, tuple[int, int, int]], ...]
 
 
 class Presentation:
@@ -307,6 +317,11 @@ class Presentation:
                     s_above[j] |= unit.s << i
                     t_above[j] |= unit.t << i
         self._s_above, self._t_above, self._self_ann = tuple(s_above), tuple(t_above), tuple(self_ann)
+        # a packed exponent vector has a 64-bit field per generator; a count is at
+        # most a tuple's length, at most sys.maxsize < 2^63, so no field carries
+        # into its guard bit 63 (see _pack and _assemble)
+        self._fields = fields = tuple(1 << 64 * i for i in range(n))
+        self._guard = sum(field << 63 for field in fields)
         self._ann_entries: list[tuple[Monomial, Coef]] = []
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
@@ -363,8 +378,9 @@ class Presentation:
             steps = []
             for monomial, coef in tail:
                 step = neg_lead_inv * coef
-                steps.append((monomial, step.a, step.b, lead_odd ^ _xor_over(self._bits, monomial)))
-            self._rules.append(_RewriteRule(lead, neg_lead_inv, tail, tuple(steps)))
+                odd = lead_odd ^ _xor_over(self._bits, monomial)
+                steps.append((monomial, step.a, step.b, odd, _pack(monomial, self)))
+            self._rules.append(_RewriteRule(lead, neg_lead_inv, tail, _pack(lead, self), tuple(steps)))
         elif len(ranked) == 1:
             self._ann_entries.append((lead, lead_coef))
         else:
@@ -454,16 +470,18 @@ def _assemble(
     if pres._rules:
         # least rewritable monomial first, first matching rule; rules never
         # change, so only a monomial a rewrite adds to needs another look.
-        # pending is a heap (a sorted list is one): it pops the least word
-        passes = 0
-        pending = sorted(terms)
+        # pending: a heap (a sorted list is one) of words with their _pack, so it
+        # pops the least word; a lead divides one if word - lead borrows no guard bit
+        passes, rules, guard = 0, pres._rules, pres._guard
+        pending = sorted([(monomial, *_pack(monomial, pres)) for monomial in terms])
         while pending:
-            monomial = heappop(pending)
+            monomial, vec, s, t = heappop(pending)
             if monomial not in terms:
                 continue
-            for rule in pres._rules:
-                rest = _quotient(monomial, rule.lead)
-                if rest is not None:
+            high = vec | guard
+            for rule in rules:
+                lead_vec, lead_s, lead_t = rule.packed
+                if (high - lead_vec) & guard == guard:
                     break
             else:
                 continue
@@ -471,14 +489,16 @@ def _assemble(
             if passes > limit:
                 raise RewriteLimitError(f"no fixed point after {limit} rewrite passes")
             a, b = terms.pop(monomial)
-            for new_monomial, a, b in _apply_rule(rest, a, b, rule, pres):
+            rest = (_quotient(monomial, rule.lead), vec - lead_vec, s ^ lead_s, t ^ lead_t)
+            for word, a, b in _apply_rule(rest, a, b, rule):
+                new_monomial = word[0]
                 old = terms.get(new_monomial)
                 if old is not None:
                     a, b = a + old[0], b + old[1]
                 pair = reduce_pair(new_monomial, a, b, mode)
                 if pair != (0, 0):
                     terms[new_monomial] = pair
-                    heappush(pending, new_monomial)
+                    heappush(pending, word)
                 else:
                     terms.pop(new_monomial, None)
     if not terms:
@@ -487,23 +507,23 @@ def _assemble(
 
 
 def _apply_rule(
-    rest: Monomial, a: int, b: int, rule: _RewriteRule, pres: Presentation
-) -> list[tuple[Monomial, int, int]]:
-    """The terms (monomial, a', b') replacing (a + b*eps) * (rule.lead * rest).
-
-    Every merge here has rest on the right, so rest's two masks (see
-    _merge_words) are built once.  A term's unit is the lead's merge unit (its
-    own inverse) times the tail monomial's: units commute with coefficients,
+    rest: tuple[Monomial, int, int, int], a: int, b: int, rule: _RewriteRule
+) -> list[tuple[tuple[Monomial, int, int, int], int, int]]:
+    """The terms (word, a', b') replacing (a + b*eps) * (rule.lead * rest), rest and
+    each word a monomial with its _pack: a word's vector is its tail's plus rest's,
+    its masks the XOR of theirs.  Every merge here has rest on the right, so rest's
+    masks (see _merge_words) give its sign.  A term's unit is the lead's merge unit
+    (its own inverse) times the tail monomial's: units commute with coefficients,
     and popcount(x & u) + popcount(x & v) = popcount(x & (u ^ v)) mod 2."""
-    s_rest, t_rest = _xor_over(pres._s_above, rest), _xor_over(pres._t_above, rest)
+    rest, vec, s_rest, t_rest = rest
     out = []
-    for monomial, c, d, odd in rule.steps:
+    for monomial, c, d, odd, (tail_vec, s, t) in rule.steps:
         x, y = a * c + b * d, a * d + b * c
         if (t_rest & odd).bit_count() & 1:  # eps swaps the two parts
             x, y = y, x
         if (s_rest & odd).bit_count() & 1:
             x, y = -x, -y
-        out.append((tuple(sorted(monomial + rest)), x, y))
+        out.append(((tuple(sorted(monomial + rest)), vec + tail_vec, s ^ s_rest, t ^ t_rest), x, y))
     return out
 
 

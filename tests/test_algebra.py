@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -468,13 +469,13 @@ def _rescan_assemble(raw, conv, pres):
             terms[monomial] = coef
     passes = 0
     while True:
-        hits = [(m, rule) for m in sorted(terms) for rule in pres._rules if not Counter(rule.lead) - Counter(m)]
-        if not hits:
+        hits = ((m, rule) for m in sorted(terms) for rule in pres._rules if not Counter(rule.lead) - Counter(m))
+        monomial, rule = next(hits, (None, None))
+        if rule is None:
             break
         passes += 1
         if passes > algebra.MAX_REWRITE_PASSES:
             raise RewriteLimitError("no fixed point")
-        monomial, rule = hits[0]
         rest = tuple(sorted((Counter(monomial) - Counter(rule.lead)).elements()))
         coef = terms.pop(monomial)
         for new_monomial, new_coef in _apply_rule_reference(rest, coef, rule, pres):
@@ -489,8 +490,9 @@ def _rescan_assemble(raw, conv, pres):
 
 
 def _chained_presentation(rng, depth):
-    # the rewrite workload's shape: x_k*y_k rewrites to x_{k+1}*y_{k+1}
-    # times a pair of normal-form generators, and the last lead to pairs
+    # the rewrite workload's relations: x_k*y_k rewrites to x_{k+1}*y_{k+1}
+    # times a pair of normal-form generators, and the last lead to pairs;
+    # the generators come in name order (see _in_workload_order)
     d = Bidegree(rng.randint(-3, 5), rng.randint(-3, 3))
     degrees = {n: d for n in "efg"}
     relations = []
@@ -505,6 +507,14 @@ def _chained_presentation(rng, depth):
         need = need + Bidegree(2 * d.p, 2 * d.q)
     relations.append(rng.choice(["(1-eps)*e*f*g", "2*e*f*g", "(1+eps)*e*f*g"]))
     return Presentation([Generator(n, degrees[n]) for n in sorted(degrees)], relations)
+
+
+def _in_workload_order(pres):
+    """A chained presentation with its generators in the rewrite workload's
+    order, x0, y0, x1, y1, ... before e, f, g, so that its leads are the
+    workload's x_k*y_k; in name order e, f, g rank first and lead."""
+    gens = sorted(pres.generators, key=lambda gen: (gen.name[0] not in "xy", gen.name[1:]))
+    return Presentation(gens, pres.relation_strings)
 
 
 def _overlapping_presentation(rng):
@@ -529,6 +539,7 @@ def test_rewrite_order_matches_rescan_reference():
         except MotsignError:  # a relation with no unit lead, or one that is zero
             continue
     cases += [(_chained_presentation(rng, depth), depth) for depth in (2, 3, 2, 3)]
+    cases += [(_in_workload_order(pres), depth) for pres, depth in cases[-4:]]
     modes = [CoefMode(), CoefMode("-1"), CoefMode("generic", 4)]
     for pres, depth in cases:
         for trial in range(12):
@@ -540,7 +551,8 @@ def test_rewrite_order_matches_rescan_reference():
 
 def _random_raw(rng, pres, depth):
     """Raw terms of one bidegree: words of one length over an overlapping
-    presentation (depth None), or x0^a y0^a times e, f, g over a chained one."""
+    presentation (depth None), or x0^a y0^a times e, f, g over a chained one,
+    with a up to 8 in the workload's order (x0 first), where x0*y0 leads."""
     n, raw = len(pres.generators), {}
     if depth is None:
         length = rng.randint(2, 6)
@@ -549,7 +561,7 @@ def _random_raw(rng, pres, depth):
             raw[monomial] = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
     else:
         # x0^a y0^a times a fixed number of e, f, g: one bidegree
-        a, length = rng.randint(1, 4), rng.randint(1, 3)
+        a, length = rng.randint(1, 8 if pres.generators[0].name == "x0" else 4), rng.randint(1, 3)
         lead = (pres.index("x0"),) * a + (pres.index("y0"),) * a
         for _ in range(rng.randint(1, 3)):
             normal = tuple(pres.index(rng.choice("efg")) for _ in range(length))
@@ -570,6 +582,7 @@ def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
         except MotsignError:  # a relation with no unit lead, or one that is zero
             continue
     cases += [(_chained_presentation(rng, depth), depth) for depth in (1, 2, 3)]
+    cases += [(_in_workload_order(pres), depth) for pres, depth in cases[-3:]]
     outcomes = Counter()
     for bound in (algebra.MAX_BASIS_CACHE, 2):
         monkeypatch.setattr(algebra, "MAX_BASIS_CACHE", bound)
@@ -582,6 +595,7 @@ def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
                 want, passes = _rescan_assemble(raw, conv, pres)
                 assert algebra._assemble(raw, degree, conv, pres) == want, (pres.relation_strings, raw, conv)
                 outcomes["zero" if want == ZERO else "nonzero"] += 1
+                outcomes["deep"] += passes > 100
                 if not passes:
                     continue
                 # the limit trips on the same rewrite as in the reference
@@ -596,6 +610,7 @@ def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
                 outcomes["limited"] += 1
             assert len(pres._basis_cache) <= bound
     assert outcomes["nonzero"] > 500 and outcomes["zero"] > 200 and outcomes["limited"] > 300, outcomes
+    assert outcomes["deep"] > 10, outcomes  # x0^a*y0^a, a up to 8, in the workload's order
 
 
 def _merge_words_reference(m1, m2, pres):
@@ -613,7 +628,8 @@ def _merge_words_reference(m1, m2, pres):
 
 def _kernel_presentations():
     rng = random.Random(43)
-    return [FREE, CATALOG] + [_chained_presentation(rng, depth) for depth in (1, 2, 3, 4)]
+    chained = [_chained_presentation(rng, depth) for depth in (1, 2, 3, 4)]
+    return [FREE, CATALOG] + chained + [_in_workload_order(pres) for pres in chained]
 
 
 def _random_words(rng, n):
@@ -653,6 +669,54 @@ def test_quotient_matches_counter_reference():
                 assert algebra._quotient(m, div) == want
 
 
+def _packed(word, pres):
+    """Oracle: a word's packed vector, its letter counts shifted to 64-bit
+    fields, and its two sign masks by `_xor_over`."""
+    vec = sum(count << 64 * i for i, count in Counter(word).items())
+    return vec, algebra._xor_over(pres._s_above, word), algebra._xor_over(pres._t_above, word)
+
+
+def test_packed_words_match_quotient_and_xor_over(monkeypatch):
+    # a lead divides a word when no field of word - lead borrows its guard bit,
+    # the top bit of each field, which no count (at most sys.maxsize) reaches;
+    # the rest's vector is the difference, its masks the XOR of the two
+    assert sys.maxsize < 1 << 63
+    rng = random.Random(61)
+    cases = _kernel_presentations()
+    while len(cases) < 14:  # their leads, unlike the chains', flip both sign masks
+        try:
+            cases.append(_overlapping_presentation(rng))
+        except MotsignError:  # a relation with no unit lead, or one that is zero
+            continue
+    assert all(any(rule.packed[k] for pres in cases for rule in pres._rules) for k in (1, 2))
+    passes = []
+    monkeypatch.setattr(algebra, "_apply_rule", lambda rest, a, b, rule: passes.append((rest, rule)) or [])
+    for pres in cases:
+        n, guard = len(pres.generators), pres._guard
+        assert pres._fields == tuple(1 << 64 * i for i in range(n))
+        assert guard == sum(field << 63 for field in pres._fields)
+        for rule in pres._rules:
+            assert rule.packed == _packed(rule.lead, pres)
+            assert [step[4] for step in rule.steps] == [_packed(tail, pres) for tail, _ in rule.tail]
+        words = _random_words(rng, n) + [rule.lead for rule in pres._rules]
+        for m in words:
+            vec, s, t = algebra._pack(m, pres)
+            assert (vec, s, t) == _packed(m, pres)
+            subs = [tuple(sorted(rng.sample(m, rng.randint(0, len(m))))) for _ in range(3)]
+            for div in subs + words:
+                div_vec, div_s, div_t = algebra._pack(div, pres)
+                rest = algebra._quotient(m, div)
+                assert (((vec | guard) - div_vec) & guard == guard) == (rest is not None), (m, div)
+                if rest is not None:
+                    assert (vec - div_vec, s ^ div_s, t ^ div_t) == _packed(rest, pres)
+            # the rule loop hands the first dividing rule the rest so packed
+            # (here it rewrites the word to nothing, so it makes one pass)
+            passes.clear()
+            algebra._assemble({m: Coef(1)}, pres.monomial_degree(m), REF, pres)
+            hits = [(rest, rule) for rule in pres._rules if (rest := algebra._quotient(m, rule.lead)) is not None]
+            assert passes == [((rest, *_packed(rest, pres)), rule) for rest, rule in hits[:1]]
+
+
 def _apply_rule_reference(rest, coef, rule, pres):
     """Oracle: the terms replacing coef * (rule.lead * rest), one reference
     commutation unit per strictly inverted cross pair, on Coef values."""
@@ -672,8 +736,9 @@ def test_apply_rule_matches_per_pair_reference():
         for rule in pres._rules:
             for rest in _random_words(rng, n):
                 coef = Coef(rng.randint(-3, 3), rng.randint(-3, 3))
-                got = algebra._apply_rule(rest, coef.a, coef.b, rule, pres)
-                assert [(merged, Coef(a, b)) for merged, a, b in got] == _apply_rule_reference(rest, coef, rule, pres)
+                got = algebra._apply_rule((rest, *_packed(rest, pres)), coef.a, coef.b, rule)
+                assert [(word[0], Coef(a, b)) for word, a, b in got] == _apply_rule_reference(rest, coef, rule, pres)
+                assert [word[1:] for word, _, _ in got] == [_packed(word[0], pres) for word, _, _ in got]
 
 
 def test_element_rendering():
@@ -1473,14 +1538,6 @@ def _coprime_leads(pres):
     )
 
 
-def _leading_chain(rng, depth):
-    # _chained_presentation with its lead generators first in generator
-    # order, so that the x_k*y_k lead as in the rewrite workload
-    pres = _chained_presentation(rng, depth)
-    gens = sorted(pres.generators, key=lambda gen: gen.name[0] not in "xy")
-    return Presentation(gens, pres.relation_strings)
-
-
 def _coprime_candidate(rng):
     """A chain in the rewrite workload's shape (leads x_k*y_k, first in
     generator order; tails in e, f, g of degree d and h of degree 2d) that
@@ -1512,7 +1569,7 @@ def _coprime_candidate(rng):
 
 def _confluent_presentations():
     rng = random.Random(97)
-    out = [_leading_chain(rng, depth) for depth in (1, 2, 3)] + [_flat_run(0)[0]]
+    out = [_in_workload_order(_chained_presentation(rng, depth)) for depth in (1, 2, 3)] + [_flat_run(0)[0]]
     while len(out) < 24:
         pres = _coprime_candidate(rng)
         if pres._fold_raw:
