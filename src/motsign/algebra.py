@@ -3,12 +3,12 @@
 Elements live on the sorted-word basis of the reference product; a
 convention acts only through multiplication, so re-evaluating the same
 expression under two conventions compares two products on one underlying
-group.  Sorting a word into canonical generator order charges the
-reference commutation unit of every inverted letter pair; that unit is an
-F2 bilinear form in the two degrees, so a pair of words is charged through
-the parity of each generator's count: XOR masks over the words, tabulated
-per presentation, and one popcount per sign bit.  A convention's twist
-enters once per factor pair; along a run of generators it joins that unit
+group.  Sorting a word into canonical generator order charges the reference
+commutation unit of every inverted letter pair; that unit is an F2 bilinear
+form in the degrees' parity classes, so a pair of words is charged through the
+parity of each generator's count: XOR masks over the words, tabulated per
+presentation at 16 unit calls, and one popcount per sign bit.  A convention's
+twist enters once per factor pair; along a run of generators it joins that unit
 in one pair of F2 columns per convention, at one cocycle call per run.
 
 Coefficients of a monomial are reduced modulo its annihilator ideal, which
@@ -88,6 +88,7 @@ __all__ = [
     "MAX_REWRITE_PASSES",
     "MAX_NESTING",
     "MAX_EXPONENT",
+    "MAX_GENERATORS",
     "parse_expression",
     "normalize",
     "multiply",
@@ -106,6 +107,7 @@ MAX_REWRITE_PASSES = 10_000
 MAX_BASIS_CACHE = 2**16  # annihilator bases kept per presentation; a miss past it drops the oldest
 MAX_NESTING = 100  # parentheses and unary minus, nested
 MAX_EXPONENT = 1000  # largest n in a postfix power g^n
+MAX_GENERATORS = 10_000  # per presentation; its sign tables hold O(n^2) bits
 
 Monomial = tuple[int, ...]
 
@@ -277,7 +279,7 @@ class _RewriteRule:
 
 
 class Presentation:
-    """Immutable list of graded generators plus relations.
+    """Immutable list of at most MAX_GENERATORS graded generators plus relations.
 
     Relations (expression strings or prebuilt elements) are classified on
     construction: a relation whose lex-leading monomial carries a unit
@@ -288,6 +290,8 @@ class Presentation:
 
     def __init__(self, generators: Sequence[Generator], relations: Sequence["Element | str"] = ()):
         gens = tuple(generators)
+        if len(gens) > MAX_GENERATORS:
+            raise MotsignError(f"a presentation has at most {MAX_GENERATORS} generators, got {len(gens)}")
         seen: set[str] = set()
         for gen in gens:
             if not _NAME_RE.fullmatch(gen.name):
@@ -307,21 +311,9 @@ class Presentation:
         # gives the annihilator 1 - B(d, d) of a repeated generator.
         n = len(gens)
         self._bits = tuple(1 << i for i in range(n))
-        s_above, t_above, self_ann = [0] * n, [0] * n, []
-        for j in range(n):
-            for i in range(j, n):
-                unit = base_commutation(degrees[i], degrees[j])
-                if i == j:
-                    self_ann.append(Coef(1) - unit.to_coef())
-                else:
-                    s_above[j] |= unit.s << i
-                    t_above[j] |= unit.t << i
-        self._s_above, self._t_above, self._self_ann = tuple(s_above), tuple(t_above), tuple(self_ann)
-        # a packed exponent vector has a 64-bit field per generator; a count is at
-        # most a tuple's length, at most sys.maxsize < 2^63, so no field carries
-        # into its guard bit 63 (see _pack and _assemble)
-        self._fields = fields = tuple(1 << 64 * i for i in range(n))
-        self._guard = sum(field << 63 for field in fields)
+        self._s_above, self._t_above = (tuple(col >> j + 1 << j + 1 for j, col in enumerate(cols))
+                                        for cols in self._columns(base_commutation))
+        self._self_ann = tuple(Coef(1) - base_commutation(d, d).to_coef() for d in degrees)
         self._ann_entries: list[tuple[Monomial, Coef]] = []
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
@@ -333,15 +325,23 @@ class Presentation:
         relations = tuple(relations)
         elements = [eval_expr(rel, _REFERENCE, self) if isinstance(rel, str) else rel for rel in relations]
         self._raw = False
-        for element in elements:
-            self._classify_relation(element)
+        rules = [rule for rule in map(self._classify_relation, elements) if rule is not None]
+        leads = [set(lead) for lead, _, _ in rules]
+        lead_gens = set().union(*leads)
+        # a packed exponent vector has a 64-bit field per lead generator, the only letters
+        # a lead's divisibility reads; a count is at most a tuple's length, at most
+        # sys.maxsize < 2^63, so no field carries into its guard bit 63 (see _pack and _assemble)
+        fields = {i: 1 << 64 * rank for rank, i in enumerate(sorted(lead_gens))}
+        self._fields, self._guard = tuple(fields.get(i, 0) for i in range(n)), sum(fields.values()) << 63
+        for lead, neg_lead_inv, tail in rules:
+            lead_odd, scaled = _xor_over(self._bits, lead), [(m, neg_lead_inv * c) for m, c in tail]
+            steps = tuple((m, c.a, c.b, lead_odd ^ _xor_over(self._bits, m), _pack(m, self)) for m, c in scaled)
+            self._rules.append(_RewriteRule(lead, neg_lead_inv, tail, _pack(lead, self), steps))
         # Buchberger's first criterion: leads on pairwise disjoint generators
         # make the rules confluent, and with no lead generator in an
         # annihilator word nor one that self-annihilates (p and q even),
         # ann(lead * r) = ann(r) lies in ann(tail * r); then a chain may be
         # rewritten once, at its end, as it is without rules (_product)
-        leads = [set(rule.lead) for rule in self._rules]
-        lead_gens = set().union(*leads)
         self._fold_raw = (
             sum(map(len, leads)) == len(lead_gens)
             and not any(lead_gens.intersection(word) for word, _ in self._ann_entries)
@@ -350,58 +350,62 @@ class Presentation:
         self.relations = tuple(elements)
         self.relation_strings = tuple(rel if isinstance(rel, str) else rel.render(self) for rel in relations)
 
-    def _classify_relation(self, element: Element) -> None:
+    def _classify_relation(self, element: Element) -> tuple[Monomial, Coef, tuple] | None:
+        """A rule's (lead, negated inverse lead coefficient, tail), or None for an annihilator, entered here."""
         # checked once here: rewriting keeps bidegrees only if every rule is homogeneous
         if not isinstance(element, Element):
             raise MotsignError(f"relation is neither a string nor an Element: {element!r}")
-        n = len(self.generators)
+        n, seen = len(self.generators), set()
         for monomial, coef in element.terms:
             if not (isinstance(monomial, tuple) and all(type(i) is int and 0 <= i < n for i in monomial)
                     and list(monomial) == sorted(monomial)):
                 raise MotsignError(f"relation word {monomial!r} is not a sorted tuple of generator indices")
             if not isinstance(coef, Coef):
                 raise MotsignError(f"relation coefficient {coef!r} is not a Coef")
-            if [m for m, _ in element.terms].count(monomial) > 1:
+            if monomial in seen:
                 raise MotsignError(f"relation repeats the word {_render_monomial(monomial, self) or '1'!r}")
+            seen.add(monomial)
             d = self.monomial_degree(monomial)
             if d != element.degree:
                 raise InhomogeneousError(f"relation term of bidegree {d} in an element of degree {element.degree}")
         if element.is_zero:
             raise MotsignError("relation reduces to zero")
-        # ranked by exponent vector: the words are distinct, so the last
-        # entry is strictly greatest and rewriting strictly decreases
-        ranked = sorted(element.terms, key=lambda item: [item[0].count(i) for i in range(n)])
+        # ranked by exponent vector, which on sorted words is the order of the
+        # negated letters; the words are distinct, so the last entry is
+        # strictly greatest and rewriting strictly decreases
+        ranked = sorted(element.terms, key=lambda item: tuple(-i for i in item[0]))
         lead, lead_coef = ranked[-1]
         if is_unit_coef(lead_coef):
             # a generic unit is one of 1, -1, eps, -eps: its own inverse
-            tail, neg_lead_inv, lead_odd = tuple(ranked[:-1]), -lead_coef, _xor_over(self._bits, lead)
-            steps = []
-            for monomial, coef in tail:
-                step = neg_lead_inv * coef
-                odd = lead_odd ^ _xor_over(self._bits, monomial)
-                steps.append((monomial, step.a, step.b, odd, _pack(monomial, self)))
-            self._rules.append(_RewriteRule(lead, neg_lead_inv, tail, _pack(lead, self), tuple(steps)))
-        elif len(ranked) == 1:
-            self._ann_entries.append((lead, lead_coef))
-        else:
-            raise MotsignError(
-                "unsupported relation: need a unit leading coefficient or a single annihilator term"
-            )
+            return lead, -lead_coef, tuple(ranked[:-1])
+        if len(ranked) > 1:
+            raise MotsignError("unsupported relation: need a unit leading coefficient or a single annihilator term")
+        self._ann_entries.append((lead, lead_coef))
+        return None
+
+    def _columns(self, form) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Columns (s_col, t_col) of an F2 bilinear unit form: bit i of s_col[g] is
+        the s bit of form(d_i, d_g), likewise t.  A degree counts only by its
+        parity class (p mod 2, q mod 2): one call per pair of class representatives,
+        and a class's column ORs the member masks of the classes it pairs to a 1 bit."""
+        classes = [(d.p & 1) << 1 | d.q & 1 for d in self._degrees]
+        members = [sum(bit for bit, k in zip(self._bits, classes) if k == c) for c in range(4)]
+        units = {(e, c): form(Bidegree(e >> 1, e & 1), Bidegree(c >> 1, c & 1)) for e in range(4) for c in range(4)}
+        s_cls = [sum(members[e] for e in range(4) if units[e, c].s) for c in range(4)]
+        t_cls = [sum(members[e] for e in range(4) if units[e, c].t) for c in range(4)]
+        return tuple(s_cls[c] for c in classes), tuple(t_cls[c] for c in classes)
 
     def _twist_columns(self, twist: BilinearCocycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Columns (s_col, t_col) of a run's sign under the twist: bit i of
         s_col[g] is the s bit of B(d_i, d_g) for i > g (see _merge_words)
         XOR that of twist(d_i, d_g) for every i, as the twist is charged by
-        position; likewise t.  Cached per cocycle: there are 4^4 of them."""
+        position; likewise t.  So they are _s_above and _t_above XOR the twist's
+        `_columns`, at 16 cocycle calls.  Cached per cocycle: there are 4^4."""
         cols = self._twist_cache.get(twist)
         if cols is None:
-            s_col, t_col = list(self._s_above), list(self._t_above)
-            for g, d in enumerate(self._degrees):
-                for i, e in enumerate(self._degrees):
-                    unit = twist(e, d)
-                    s_col[g] ^= unit.s << i
-                    t_col[g] ^= unit.t << i
-            cols = self._twist_cache[twist] = (tuple(s_col), tuple(t_col))
+            s_col, t_col = self._columns(twist)
+            cols = self._twist_cache[twist] = (tuple(map(xor, self._s_above, s_col)),
+                                               tuple(map(xor, self._t_above, t_col)))
         return cols
 
     def index(self, name: str) -> int:

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -51,7 +52,7 @@ from motsign import (
 )
 from motsign.units import UNITS
 from motsign import algebra
-from motsign.algebra import MAX_EXPONENT, MAX_NESTING
+from motsign.algebra import MAX_EXPONENT, MAX_GENERATORS, MAX_NESTING
 
 REF = convention("reference")
 EPS_CONV = convention("epsilon")
@@ -669,10 +670,17 @@ def test_quotient_matches_counter_reference():
                 assert algebra._quotient(m, div) == want
 
 
+def _lead_ranks(pres):
+    """Each generator in some rule's lead, mapped to its rank among them."""
+    return {i: rank for rank, i in enumerate(sorted({i for rule in pres._rules for i in rule.lead}))}
+
+
 def _packed(word, pres):
-    """Oracle: a word's packed vector, its letter counts shifted to 64-bit
-    fields, and its two sign masks by `_xor_over`."""
-    vec = sum(count << 64 * i for i, count in Counter(word).items())
+    """Oracle: a word's packed vector, its counts of each lead generator
+    shifted to a 64-bit field by that generator's rank, other letters in no
+    field; and its two sign masks by `_xor_over`."""
+    ranks = _lead_ranks(pres)
+    vec = sum(count << 64 * ranks[i] for i, count in Counter(word).items() if i in ranks)
     return vec, algebra._xor_over(pres._s_above, word), algebra._xor_over(pres._t_above, word)
 
 
@@ -692,9 +700,9 @@ def test_packed_words_match_quotient_and_xor_over(monkeypatch):
     passes = []
     monkeypatch.setattr(algebra, "_apply_rule", lambda rest, a, b, rule: passes.append((rest, rule)) or [])
     for pres in cases:
-        n, guard = len(pres.generators), pres._guard
-        assert pres._fields == tuple(1 << 64 * i for i in range(n))
-        assert guard == sum(field << 63 for field in pres._fields)
+        n, guard, ranks = len(pres.generators), pres._guard, _lead_ranks(pres)
+        assert pres._fields == tuple(_packed((i,), pres)[0] for i in range(n))
+        assert guard == sum(1 << 64 * rank + 63 for rank in ranks.values())
         for rule in pres._rules:
             assert rule.packed == _packed(rule.lead, pres)
             assert [step[4] for step in rule.steps] == [_packed(tail, pres) for tail, _ in rule.tail]
@@ -706,7 +714,10 @@ def test_packed_words_match_quotient_and_xor_over(monkeypatch):
             for div in subs + words:
                 div_vec, div_s, div_t = algebra._pack(div, pres)
                 rest = algebra._quotient(m, div)
-                assert (((vec | guard) - div_vec) & guard == guard) == (rest is not None), (m, div)
+                # the guard test reads the lead generators only
+                lead_part = tuple(i for i in div if i in ranks)
+                divides = algebra._quotient(m, lead_part) is not None
+                assert (((vec | guard) - div_vec) & guard == guard) == divides, (m, div)
                 if rest is not None:
                     assert (vec - div_vec, s ^ div_s, t ^ div_t) == _packed(rest, pres)
             # the rule loop hands the first dividing rule the rest so packed
@@ -1494,6 +1505,116 @@ def test_run_twist_matches_pairwise_fold_under_sampled_cocycles():
                 assert _outcome(eval_expr, text, conv, pres) == want, (text, conv)
                 outcomes["error" if isinstance(want, tuple) else "zero" if want == ZERO else "nonzero"] += 1
     assert outcomes["nonzero"] > 300 and outcomes["zero"] > 300 and outcomes["error"] > 10
+
+
+# ---------- tables from four parity classes ----------
+
+
+def _tables_reference(pres):
+    """Oracle: (_s_above, _t_above, _self_ann) as built before parity
+    classes, one base_commutation call per pair of generators i >= j."""
+    degrees, n = pres._degrees, len(pres._degrees)
+    s_above, t_above, self_ann = [0] * n, [0] * n, []
+    for j in range(n):
+        for i in range(j, n):
+            unit = base_commutation(degrees[i], degrees[j])
+            if i == j:
+                self_ann.append(Coef(1) - unit.to_coef())
+            else:
+                s_above[j] |= unit.s << i
+                t_above[j] |= unit.t << i
+    return tuple(s_above), tuple(t_above), tuple(self_ann)
+
+
+def _twist_columns_reference(tables, degrees, twist):
+    """Oracle: a run's twist columns as built before parity classes, the
+    reference tables XOR one cocycle call per pair of generators."""
+    s_col, t_col = list(tables[0]), list(tables[1])
+    for g, d in enumerate(degrees):
+        for i, e in enumerate(degrees):
+            unit = twist(e, d)
+            s_col[g] ^= unit.s << i
+            t_col[g] ^= unit.t << i
+    return tuple(s_col), tuple(t_col)
+
+
+def _random_degree_presentation(rng, n):
+    return Presentation([Generator(f"g{i}", Bidegree(rng.randint(-9, 9), rng.randint(-9, 9))) for i in range(n)])
+
+
+def test_class_tables_match_the_pairwise_construction():
+    rng = random.Random(83)
+    cases = [CATALOG, *RULE_FREE, *_kernel_presentations()]
+    cases += [_random_degree_presentation(rng, n) for n in (1, 2, 5, 9, 16, 25)]
+    assert any(d.p < 0 and d.q < 0 for pres in cases for d in pres._degrees)
+    for pres in cases:
+        tables = _tables_reference(pres)
+        assert (pres._s_above, pres._t_above, pres._self_ann) == tables
+        for twist in ALL_COCYCLES:
+            assert pres._twist_columns(twist) == _twist_columns_reference(tables, pres._degrees, twist), twist
+        if not pres._rules:  # packed fields are for lead generators only
+            assert pres._guard == 0 and not any(pres._fields)
+
+
+class _CountingTwist:
+    def __init__(self, twist):
+        self.twist, self.calls = twist, 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.twist(a, b)
+
+
+def test_tables_make_a_bounded_number_of_unit_calls(monkeypatch):
+    # 16 calls, one per pair of parity classes, and one per generator for its
+    # self-annihilator; a twist's columns take 16 calls, once per cocycle
+    calls = Counter()
+    monkeypatch.setattr(algebra, "base_commutation", lambda a, b: calls.update(["B"]) or base_commutation(a, b))
+    rng = random.Random(89)
+    for n in (20, 200):
+        calls.clear()
+        pres = _random_degree_presentation(rng, n)
+        assert 0 < calls["B"] <= 16 + n
+        twist = _CountingTwist(rng.choice(ALL_COCYCLES))
+        cols = pres._twist_columns(twist)
+        assert pres._twist_columns(twist) is cols and 0 < twist.calls <= 16
+        assert cols == _twist_columns_reference(_tables_reference(pres), pres._degrees, twist.twist)
+
+
+def test_relation_ranking_key_orders_words_as_exponent_vectors():
+    # on sorted words, the negated letters order as the exponent vectors
+    # [word.count(i) for i in range(n)], the key the ranking had before
+    rng = random.Random(97)
+    for _ in range(20_000):
+        n = rng.randint(1, 6)
+        a, b = (tuple(sorted(rng.randrange(n) for _ in range(rng.randint(0, 6)))) for _ in range(2))
+        old = [a.count(i) for i in range(n)], [b.count(i) for i in range(n)]
+        new = tuple(-i for i in a), tuple(-i for i in b)
+        assert (old[0] < old[1], old[0] == old[1]) == (new[0] < new[1], new[0] == new[1]), (a, b)
+    # and a rule's lead and tail are ranked so
+    gens = [Generator(name, Bidegree(2, 0)) for name in "abcde"]
+    for _ in range(200):
+        length = rng.randint(1, 4)
+        words = list({tuple(sorted(rng.randrange(5) for _ in range(length))) for _ in range(rng.randint(1, 6))})
+        rng.shuffle(words)
+        pres = Presentation(gens, [Element(tuple((w, Coef(1)) for w in words), Bidegree(2 * length, 0))])
+        ranked = sorted(words, key=lambda w: [w.count(i) for i in range(5)])
+        (rule,) = pres._rules
+        assert (rule.lead, [m for m, _ in rule.tail]) == (ranked[-1], ranked[:-1])
+
+
+def test_generator_bound(monkeypatch):
+    gens = [Generator(f"g{i}", Bidegree(i % 7 - 3, i % 5 - 2)) for i in range(MAX_GENERATORS + 1)]
+    start = time.perf_counter()
+    pres = Presentation(gens[:-1])
+    assert eval_expr("g0*g1", EPS_CONV, pres).render(pres) == "g0*g1"
+    assert time.perf_counter() - start < 30  # about 0.1 s on one 2-vCPU core
+    calls = Counter()
+    monkeypatch.setattr(algebra, "base_commutation", lambda a, b: calls.update(["B"]) or base_commutation(a, b))
+    with pytest.raises(MotsignError, match=f"at most {MAX_GENERATORS} generators, got {MAX_GENERATORS + 1}$"):
+        Presentation(gens)
+    assert not calls  # refused before any table is built
+
 
 # ---------- one rewrite per chain on coprime leads ----------
 

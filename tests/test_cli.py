@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from motsign.algebra import MAX_GENERATORS
 from motsign.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -433,3 +438,121 @@ def test_a_command_loads_only_the_modules_it_runs(argv, on_demand):
     assert bare == []
     assert code == 0
     assert _ON_DEMAND & set(loaded) == on_demand
+
+
+def _generator_file(path, n):
+    doc = {"generators": [{"name": f"g{i}", "degree": [i % 7 - 3, i % 5 - 2]} for i in range(n)]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_presentation_files_up_to_the_generator_bound(tmp_path, capsys):
+    # a file at the bound evaluates in about 0.2 s on one 2-vCPU core, far
+    # inside the limit here; one generator more is an input error
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--pres", _generator_file(tmp_path / "at.json", MAX_GENERATORS),
+                             "--convention", "epsilon", "g0*g1")
+    assert (code, out, err) == (0, "g0*g1\n", "")
+    assert time.perf_counter() - start < 30
+    code, out, err = run_cli(capsys, "eval", "--pres", _generator_file(tmp_path / "past.json", MAX_GENERATORS + 1),
+                             "g0*g1")
+    assert (code, out) == (2, "")
+    assert err == f"error: a presentation has at most {MAX_GENERATORS} generators, got {MAX_GENERATORS + 1}\n"
+
+
+# ---------- drawn argv and files: an exit code, never a traceback ----------
+
+_TOKENS = ("x", "y", "eta", "nu", "tau", "eps", "0", "1", "2", "*", "*", "+", "-", "(", ")", "^", "^3", " ", "1000")
+_UNIT_NAMES = ("1", "-1", "eps", "-eps")
+_WORDS = _UNIT_NAMES + ("x", "x*x", "2*x", "(1-eps)*x", "x*y - y", "generic", "+1", "2", "custom")
+_KEYS = ("name", "degree", "generators", "relations", "u", "twist", "mode", "eps", "modulus",
+         "m11", "m12", "m21", "m22", "stem", "weight", "eps_nonzero", "source")
+_ATOMS = ("x", "y", "eta", "nu", "tau", "eps", "1", "2", "x^3", "nu^2")
+_expressions = st.recursive(  # well formed, over names of the catalogs and of the drawn files
+    st.sampled_from(_ATOMS),
+    lambda inner: st.builds("{}{}{}".format, inner, st.sampled_from(("*", " + ", "-", " * ")), inner)
+    | inner.map("({})".format) | inner.map("-{}".format),
+    max_leaves=6,
+) | st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join)
+_small = st.integers(-3, 3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _small | st.floats(allow_nan=False, width=16) | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=10,
+)
+_units = st.sampled_from(_UNIT_NAMES)
+_modes = st.fixed_dictionaries({}, optional={"eps": st.sampled_from(("generic", "+1", "-1", "1")), "modulus": _small})
+_cocycles = st.fixed_dictionaries({key: _units for key in ("m11", "m12", "m21", "m22")})
+# documents of each kind the commands read, mostly well formed, and any JSON value
+_documents = st.one_of(
+    st.fixed_dictionaries({"generators": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from(("x", "y", "z", "eps", "2x")), "degree": st.lists(_small, min_size=2, max_size=2),
+    }), max_size=3)}, optional={"relations": st.lists(_expressions, max_size=2)}),
+    st.fixed_dictionaries({"u": _units}, optional={"mode": _modes, "name": st.sampled_from(("mine", "u=1"))}),
+    st.fixed_dictionaries({"twist": _cocycles}, optional={"mode": _modes}),
+    _cocycles,
+    st.lists(st.fixed_dictionaries({"name": st.sampled_from(("a", "b")), "stem": _small, "weight": _small,
+                                    "eps_nonzero": st.sampled_from((0, 1, True, "1")), "source": st.just("s")}),
+             max_size=3),
+    _json_values,
+)
+_csv_fields = st.sampled_from(("a", "eta", "0", "1", "2", "-3", "1.5", "true", "", "src", '"', "name"))
+_csv_text = st.lists(st.lists(_csv_fields, max_size=6).map(",".join), max_size=4).map("\n".join)
+_CONVENTIONS = ("reference", "epsilon", "minus-one", "u=eps", "u=-1", "u=7", "DOC", "missing.json")
+_FLAG_VALUES = {
+    "--convention": _CONVENTIONS, "--from": _CONVENTIONS, "--to": _CONVENTIONS,
+    "--mode": ("generic", "+1", "-1", "0"), "--modulus": ("0", "2", "4", "-3", "x"),
+    "--deg-a": ("1,0", "0,-1", "(3,2)", "-2,5", "1_0,2"), "--deg-b": ("1,1", "0,-1", "2,0", " 3 , -4 "),
+    "--u": _UNIT_NAMES + ("2",), "--file": ("DOC", "missing.json"), "--grid": ("0", "1", "2", "-1", "x"),
+    "--units": ("trivial", "minus-one", "eps", "minus-eps", "full", "su2"),
+    "--pres": ("catalog", "catalog-tau", "DOC", "DOC", "missing.json"),
+    "--model": ("betti", "geometric-fixed", "etale", "nope"),
+    "--table": ("sample", "TABLE", "TABLE", "DOC", "missing.json"), "--format": ("auto", "csv", "json", "xml"),
+}
+# subcommand: (required flags, optional flags); eval and transport also take an expression
+_SUBCOMMANDS = {
+    "commute": (("--deg-a", "--deg-b"), ("--convention", "--mode", "--modulus")),
+    "cocycle check": (("--u",), ("--file", "--grid")),
+    "cocycle class": (("--file",), ("--u",)),
+    "cocycle ratio": (("--from", "--to"), ("--mode", "--modulus")),
+    "classes": (("--units",), ()),
+    "eval": ((), ("--convention", "--mode", "--modulus", "--pres")),
+    "transport": (("--from", "--to"), ("--pres", "--mode", "--modulus")),
+    "realize": (("--model",), ("--convention", "--grid")),
+    "sensitivity": ((), ("--with-tau",)),
+    "scan": (("--table",), ("--format",)),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    required, optional = _SUBCOMMANDS[command]
+    argv = command.split()
+    flags = [flag for flag in required if draw(st.integers(0, 9))]  # a required flag is sometimes left out
+    flags += draw(st.lists(st.sampled_from(optional + ("--json",)), max_size=4))
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag not in ("--json", "--with-tau"):
+            argv.append(draw(st.sampled_from(_FLAG_VALUES[flag]) if draw(st.integers(0, 7)) else _expressions))
+    if command in ("eval", "transport"):
+        argv += ["--", draw(_expressions)]
+    return argv
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs(), doc=_documents, table=_csv_text)
+def test_drawn_commands_end_in_an_exit_code(tmp_path, argv, doc, table):
+    # in-process main on drawn argv: DOC names a drawn JSON file, TABLE a drawn CSV file
+    files = {"DOC": tmp_path / "doc.json", "TABLE": tmp_path / "table.csv"}
+    files["DOC"].write_text(json.dumps(doc))
+    files["TABLE"].write_text(table)
+    argv = [str(files[arg]) if arg in files else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
