@@ -35,7 +35,9 @@ pops and terms render.  Without rules, or with eps generic and rules that pass
 Buchberger's first criterion (leads on pairwise disjoint generators of even p
 and q, none of them in an annihilator word), a product chain is reduced and
 rewritten once, at its end, and a run of generators in it is one word: one
-parity-mask pass and one sort per term (`_product`).
+parity-mask pass and one sort per term (`_product`).  A single term's rewrite is
+memoized per presentation under its word, reduced pair and mode, never the
+convention, to MAX_REWRITE_CACHE terms; its pass count keeps the limit exact.
 An expression has one node per product and one per sum; a parenthesised
 product stays one factor, so bracketing is kept where rules are not confluent.
 """
@@ -105,6 +107,8 @@ __all__ = [
 
 MAX_REWRITE_PASSES = 10_000
 MAX_BASIS_CACHE = 2**16  # annihilator bases kept per presentation; a miss past it drops the oldest
+MAX_REWRITE_CACHE = 2**16  # terms (one more per entry) in a presentation's rewrite memo; likewise
+MAX_TWIST_CACHE = 16  # conventions' twist columns kept per presentation; likewise
 MAX_NESTING = 100  # parentheses and unary minus, nested
 MAX_EXPONENT = 1000  # largest n in a postfix power g^n
 MAX_GENERATORS = 10_000  # per presentation; its sign tables hold O(n^2) bits
@@ -318,6 +322,7 @@ class Presentation:
         self._rules: list[_RewriteRule] = []
         self._basis_cache: dict[tuple[Monomial, int], tuple] = {}
         self._twist_cache: dict = {}  # _twist_columns; the relations' products below read it too
+        self._rewrite_cache, self._rewrite_size = {}, 0  # _assemble's memo, and the terms it holds
         # relations are read as written, each on its own: no annihilator
         # reduction (the commutation law alone would turn (1-eps)*eta*eta
         # into zero) and no rewriting, since no rule exists until all are read
@@ -400,13 +405,24 @@ class Presentation:
         s_col[g] is the s bit of B(d_i, d_g) for i > g (see _merge_words)
         XOR that of twist(d_i, d_g) for every i, as the twist is charged by
         position; likewise t.  So they are _s_above and _t_above XOR the twist's
-        `_columns`, at 16 cocycle calls.  Cached per cocycle: there are 4^4."""
+        `_columns`, at 16 cocycle calls.  Cached per cocycle, the last MAX_TWIST_CACHE:
+        an entry holds 2n ints of n bits, and there are 4^4 cocycles."""
         cols = self._twist_cache.get(twist)
         if cols is None:
+            if len(self._twist_cache) >= MAX_TWIST_CACHE:
+                del self._twist_cache[next(iter(self._twist_cache))]  # dicts keep insertion order
             s_col, t_col = self._columns(twist)
             cols = self._twist_cache[twist] = (tuple(map(xor, self._s_above, s_col)),
                                                tuple(map(xor, self._t_above, t_col)))
         return cols
+
+    def _remember(self, key: tuple, memo: tuple[int, tuple]) -> None:
+        """Store _assemble's (passes, terms) if they fit the bound, dropping the oldest entries first."""
+        size, cache = len(memo[1]) + 1, self._rewrite_cache
+        if size <= MAX_REWRITE_CACHE:
+            while self._rewrite_size + size > MAX_REWRITE_CACHE:
+                self._rewrite_size -= len(cache.pop(next(iter(cache)))[1]) + 1  # dicts keep insertion order
+            cache[key], self._rewrite_size = memo, self._rewrite_size + size
 
     def index(self, name: str) -> int:
         try:
@@ -463,7 +479,9 @@ def _assemble(
 ) -> Element:
     """Reduce and rewrite raw terms of the caller's bidegree; rules are homogeneous.
     Coefficients run as pairs (a, b) for a + b*eps until the result is built.
-    A fixed point must come within limit rewrites (default MAX_REWRITE_PASSES)."""
+    A fixed point must come within limit rewrites (default MAX_REWRITE_PASSES).  A single
+    reduced term is memoized per presentation: `_rewrite` reads only the word, its pair and
+    the mode, and a stored pass count over the limit raises where the loop would."""
     mode, reduce_pair = conv.mode, pres._reduce
     limit = MAX_REWRITE_PASSES if limit is None else limit
     terms: dict[Monomial, tuple[int, int]] = {}
@@ -471,43 +489,53 @@ def _assemble(
         pair = reduce_pair(monomial, coef.a, coef.b, mode)
         if pair != (0, 0):
             terms[monomial] = pair
-    if pres._rules:
-        # least rewritable monomial first, first matching rule; rules never
-        # change, so only a monomial a rewrite adds to needs another look.
-        # pending: a heap (a sorted list is one) of words with their _pack, so it
-        # pops the least word; a lead divides one if word - lead borrows no guard bit
-        passes, rules, guard = 0, pres._rules, pres._guard
-        pending = sorted([(monomial, *_pack(monomial, pres)) for monomial in terms])
-        while pending:
-            monomial, vec, s, t = heappop(pending)
-            if monomial not in terms:
-                continue
-            high = vec | guard
-            for rule in rules:
-                lead_vec, lead_s, lead_t = rule.packed
-                if (high - lead_vec) & guard == guard:
-                    break
+    key = (*terms.items(), mode) if pres._rules and len(terms) == 1 else None
+    memo = pres._rewrite_cache.get(key)
+    if memo is None:
+        passes = _rewrite(terms, mode, pres, limit)[0] if pres._rules else 0
+        memo = passes, tuple([(monomial, Coef(a, b)) for monomial, (a, b) in sorted(terms.items())])
+        if key is not None:
+            pres._remember(key, memo)
+    elif memo[0] > limit:
+        raise RewriteLimitError(f"no fixed point after {limit} rewrite passes")
+    return Element(memo[1], degree) if memo[1] else ZERO
+
+
+def _rewrite(terms: dict[Monomial, tuple[int, int]], mode: CoefMode, pres: Presentation, limit: int) -> tuple:
+    """The rule loop on reduced pairs, in place: (passes, terms).  Least rewritable monomial
+    first, first matching rule; rules never change, so only a monomial a rewrite adds to
+    needs another look.  pending: a heap (a sorted list is one) of words with their _pack,
+    so it pops the least word; a lead divides one if word - lead borrows no guard bit."""
+    passes, rules, guard, reduce_pair = 0, pres._rules, pres._guard, pres._reduce
+    pending = sorted([(monomial, *_pack(monomial, pres)) for monomial in terms])
+    while pending:
+        monomial, vec, s, t = heappop(pending)
+        if monomial not in terms:
+            continue
+        high = vec | guard
+        for rule in rules:
+            lead_vec, lead_s, lead_t = rule.packed
+            if (high - lead_vec) & guard == guard:
+                break
+        else:
+            continue
+        passes += 1
+        if passes > limit:
+            raise RewriteLimitError(f"no fixed point after {limit} rewrite passes")
+        a, b = terms.pop(monomial)
+        rest = (_quotient(monomial, rule.lead), vec - lead_vec, s ^ lead_s, t ^ lead_t)
+        for word, a, b in _apply_rule(rest, a, b, rule):
+            new_monomial = word[0]
+            old = terms.get(new_monomial)
+            if old is not None:
+                a, b = a + old[0], b + old[1]
+            pair = reduce_pair(new_monomial, a, b, mode)
+            if pair != (0, 0):
+                terms[new_monomial] = pair
+                heappush(pending, word)
             else:
-                continue
-            passes += 1
-            if passes > limit:
-                raise RewriteLimitError(f"no fixed point after {limit} rewrite passes")
-            a, b = terms.pop(monomial)
-            rest = (_quotient(monomial, rule.lead), vec - lead_vec, s ^ lead_s, t ^ lead_t)
-            for word, a, b in _apply_rule(rest, a, b, rule):
-                new_monomial = word[0]
-                old = terms.get(new_monomial)
-                if old is not None:
-                    a, b = a + old[0], b + old[1]
-                pair = reduce_pair(new_monomial, a, b, mode)
-                if pair != (0, 0):
-                    terms[new_monomial] = pair
-                    heappush(pending, word)
-                else:
-                    terms.pop(new_monomial, None)
-    if not terms:
-        return ZERO
-    return Element(tuple([(monomial, Coef(a, b)) for monomial, (a, b) in sorted(terms.items())]), degree)
+                terms.pop(new_monomial, None)
+    return passes, terms
 
 
 def _apply_rule(

@@ -570,6 +570,11 @@ def _random_raw(rng, pres, depth):
     return raw
 
 
+def _clear_memo(pres):
+    pres._rewrite_cache.clear()
+    pres._rewrite_size = 0
+
+
 def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
     # the rule loop on integer pairs against the Coef rescan in every mode,
     # over overlapping rules (where the rewrite order shows) and chained
@@ -599,12 +604,16 @@ def test_rule_loop_matches_rescan_reference_in_every_mode(monkeypatch):
                 outcomes["deep"] += passes > 100
                 if not passes:
                     continue
-                # the limit trips on the same rewrite as in the reference
+                # the limit trips on the same rewrite as in the reference: in the
+                # loop itself (the memo cleared) and, for a single term, on a hit
                 with monkeypatch.context() as limit:
                     limit.setattr(algebra, "MAX_REWRITE_PASSES", passes)
+                    _clear_memo(pres)
+                    assert algebra._assemble(raw, degree, conv, pres) == want
                     assert algebra._assemble(raw, degree, conv, pres) == want
                     limit.setattr(algebra, "MAX_REWRITE_PASSES", passes - 1)
                     for assemble in (lambda: algebra._assemble(raw, degree, conv, pres),
+                                     lambda: _clear_memo(pres) or algebra._assemble(raw, degree, conv, pres),
                                      lambda: _rescan_assemble(raw, conv, pres)):
                         with pytest.raises(RewriteLimitError):
                             assemble()
@@ -721,9 +730,10 @@ def test_packed_words_match_quotient_and_xor_over(monkeypatch):
                 if rest is not None:
                     assert (vec - div_vec, s ^ div_s, t ^ div_t) == _packed(rest, pres)
             # the rule loop hands the first dividing rule the rest so packed
-            # (here it rewrites the word to nothing, so it makes one pass)
+            # (here it rewrites the word to nothing, so it makes one pass); it
+            # is called directly, so no memoized answer stands in for the stub's
             passes.clear()
-            algebra._assemble({m: Coef(1)}, pres.monomial_degree(m), REF, pres)
+            algebra._rewrite({m: (1, 0)}, REF.mode, pres, algebra.MAX_REWRITE_PASSES)
             hits = [(rest, rule) for rule in pres._rules if (rest := algebra._quotient(m, rule.lead)) is not None]
             assert passes == [((rest, *_packed(rest, pres)), rule) for rest, rule in hits[:1]]
 
@@ -1482,7 +1492,7 @@ def test_twist_columns_match_brute_force():
                 for i, e in enumerate(degrees):
                     unit = twist(e, d) * (base_commutation(e, d) if i > g else ONE)
                     assert (s_col[g] >> i & 1, t_col[g] >> i & 1) == (unit.s, unit.t), (twist, i, g)
-        assert len(pres._twist_cache) == len(ALL_COCYCLES) == 256  # one entry per cocycle, bounded
+        assert len(pres._twist_cache) == algebra.MAX_TWIST_CACHE < len(ALL_COCYCLES) == 256  # the last 16 kept
 
 
 def test_run_twist_matches_pairwise_fold_under_sampled_cocycles():
@@ -1812,3 +1822,135 @@ def test_a_specialized_eps_keeps_the_eager_path():
     for path in (pres, _eager(pres)):
         assert eval_expr("x1*y1*x2*y2", conv, path).render(pres) == eager
     assert eval_expr("x1*y1*x2*y2", REF, pres) == eval_expr("x1*y1*x2*y2", REF, _eager(pres))
+
+
+# ---------- a rewrite memo and a twist cache per presentation ----------
+
+
+def test_twist_cache_keeps_the_last_conventions():
+    # all 256 cocycles, twice, through one presentation: the cache keeps the
+    # last MAX_TWIST_CACHE, and every lookup, hit or miss, is a fresh build's
+    pres = _random_degree_presentation(random.Random(109), 12)
+    for twist in ALL_COCYCLES * 2:
+        assert pres._twist_columns(twist) == Presentation(pres.generators)._twist_columns(twist), twist
+        assert len(pres._twist_cache) <= algebra.MAX_TWIST_CACHE
+        assert pres._twist_columns(twist) is pres._twist_columns(twist)  # a hit
+    assert list(pres._twist_cache) == ALL_COCYCLES[-algebra.MAX_TWIST_CACHE:]
+
+
+def _memo_presentations(rng):
+    """Chained presentations in both generator orders, overlapping ones
+    (where the rewrite order and the bracketing show), the bracketing
+    example of test_a_parenthesised_product_stays_one_factor and a
+    coprime one (a chain rewritten once, at its end)."""
+    chained = [_chained_presentation(rng, depth) for depth in (2, 3)]
+    out = chained + [_in_workload_order(pres) for pres in chained]
+    while len(out) < 7:
+        try:
+            out.append(_overlapping_presentation(rng))
+        except MotsignError:  # a relation with no unit lead, or one that is zero
+            continue
+    out.append(Presentation([Generator(n, Bidegree(1, 0)) for n in "abcd"],
+                            ["-a*a + eps*b*c", "a*d + b*c", "a*b + b*c"]))
+    gens = [Generator("x", Bidegree(2, 0)), Generator("y", Bidegree(2, 2))]
+    out.append(Presentation(gens + [Generator(n, Bidegree(2, 1)) for n in "fg"], ["x*y - f*f - eps*f*g", "2*f*g"]))
+    return out
+
+
+def _memo_words(rng, pres):
+    """Words of 3-7 letters, each as a flat chain and as A*(B*C); on a chain
+    x0^k*y0^k times a normal-form letter, which rewrites in many passes."""
+    names = [gen.name for gen in pres.generators]
+    words = [[rng.choice(names) for _ in range(rng.randint(3, 5))] for _ in range(2)]
+    if "x0" in names:
+        k = rng.randint(2, 3)
+        words.append(["x0"] * k + ["y0"] * k + [rng.choice("efg")])
+        rng.shuffle(words[-1])
+    texts = []
+    for word in words:
+        i = rng.randint(1, len(word) - 2)
+        texts += ["*".join(word), f"{'*'.join(word[:i])}*({'*'.join(word[i:])})"]
+    return texts
+
+
+def _fresh(pres):
+    return Presentation(pres.generators, pres.relation_strings)
+
+
+def test_rewrite_memo_cannot_be_seen(monkeypatch):
+    # a shuffled list of evaluations, twice over, on one warm presentation
+    # against each on a fresh one, in every preset and mode, with the pass
+    # limit also at the largest pass count the memo stored and one below it,
+    # where a hit must raise as the loop does
+    rng = random.Random(113)
+    convs = [convention(PRESETS[k % len(PRESETS)].name, mode) for k, mode in enumerate(ALL_MODES)]
+    cases = []
+    for pres in _memo_presentations(rng):
+        for text in _memo_words(rng, pres):
+            for conv in rng.sample(convs, 6):
+                fresh = _fresh(pres)
+                cases.append((pres, text, conv, algebra.MAX_REWRITE_PASSES, _outcome(eval_expr, text, conv, fresh)))
+                passes = max((memo[0] for memo in fresh._rewrite_cache.values()), default=0)
+                for limit in (passes, passes - 1) if passes else ():
+                    monkeypatch.setattr(algebra, "MAX_REWRITE_PASSES", limit)
+                    cases.append((pres, text, conv, limit, _outcome(eval_expr, text, conv, _fresh(pres))))
+                    monkeypatch.undo()
+    rng.shuffle(cases)
+    outcomes = Counter()
+    for pres, text, conv, limit, want in cases + cases:
+        monkeypatch.setattr(algebra, "MAX_REWRITE_PASSES", limit)
+        assert _outcome(eval_expr, text, conv, pres) == want, (pres.relation_strings, text, conv, limit)
+        monkeypatch.undo()
+        outcomes["error" if isinstance(want, tuple) else "zero" if want == ZERO else "nonzero"] += 1
+    assert outcomes["nonzero"] > 300 and outcomes["zero"] > 20 and outcomes["error"] > 50, outcomes
+    assert all(pres._rewrite_cache for pres, *_ in cases)
+
+
+def _deep_word(seed):
+    """A chained presentation and its word x0^3*y0^3*e, with the memo entry
+    a fresh presentation stores for it."""
+    pres = _in_workload_order(_chained_presentation(random.Random(seed), 3))
+    word = tuple(sorted((pres.index("x0"),) * 3 + (pres.index("y0"),) * 3 + (pres.index("e"),)))
+    fresh = _fresh(pres)
+    algebra._assemble({word: Coef(1)}, pres.monomial_degree(word), REF, fresh)
+    (memo,) = fresh._rewrite_cache.values()
+    return pres, word, memo
+
+
+def test_a_raised_rewrite_leaves_no_memo_entry(monkeypatch):
+    pres, word, (passes, terms) = _deep_word(127)
+    degree = pres.monomial_degree(word)
+    assert passes > 10 and len(terms) > 1
+    monkeypatch.setattr(algebra, "MAX_REWRITE_PASSES", passes - 1)
+    with pytest.raises(RewriteLimitError, match=f"after {passes - 1} rewrite passes"):
+        algebra._assemble({word: Coef(1)}, degree, REF, pres)
+    assert not pres._rewrite_cache and pres._rewrite_size == 0
+    monkeypatch.undo()
+    assert algebra._assemble({word: Coef(1)}, degree, REF, pres) == Element(terms, degree)
+    assert pres._rewrite_cache == {((word, (1, 0)), REF.mode): (passes, terms)}
+    assert pres._rewrite_size == len(terms) + 1
+
+
+def test_rewrite_memo_is_bounded_by_its_terms(monkeypatch):
+    # one term per stored term and one per entry; the oldest entry goes first,
+    # and a result larger than the bound is returned but never stored
+    pres, word, (_, terms) = _deep_word(131)
+    bound = len(terms) + 3
+    monkeypatch.setattr(algebra, "MAX_REWRITE_CACHE", bound)
+    letters = [pres.index(name) for name in ("x0", "y0", "e", "f")]
+    inputs = [((letters[k],), (1, 0)) for k in range(4)] + [(word, (1, 0)), (word, (2, 0))]
+    seen = []
+    for monomial, (a, b) in inputs:
+        got = algebra._assemble({monomial: Coef(a, b)}, pres.monomial_degree(monomial), REF, pres)
+        assert got == algebra._assemble({monomial: Coef(a, b)}, pres.monomial_degree(monomial), REF, _fresh(pres))
+        if len(got.terms) + 1 <= bound:
+            seen.append(((monomial, (a, b)), REF.mode))
+        held = list(pres._rewrite_cache)
+        assert held == seen[len(seen) - len(held):]  # the newest entries, in order
+        assert pres._rewrite_size == sum(len(memo[1]) + 1 for memo in pres._rewrite_cache.values()) <= bound
+    assert len(held) < len(seen) == len(inputs)  # some evicted, none refused
+    monkeypatch.setattr(algebra, "MAX_REWRITE_CACHE", len(terms))
+    _clear_memo(pres)
+    degree = pres.monomial_degree(word)
+    assert algebra._assemble({word: Coef(1)}, degree, REF, pres) == Element(terms, degree)
+    assert not pres._rewrite_cache  # len(terms) + 1 is over the bound
